@@ -1,14 +1,24 @@
 //! E12 — the federated architecture (§6, future work).
 //!
-//! Publish → notify fan-out at growing federation sizes, SparqlPuSH
-//! delivery, and timeline consistency across subscribers.
+//! Publish → notify fan-out at growing federation sizes, live-album
+//! push delivery, and timeline consistency across subscribers.
 
 use lodify_bench::{black_box, Criterion};
 use lodify_bench::{criterion, header, row, time_once};
-use lodify_core::federation::{Acct, Federation, Notification};
+use lodify_context::Gazetteer;
+use lodify_core::albums::AlbumSpec;
+use lodify_core::federation::{Acct, Federation};
+use lodify_rdf::{ns, Literal, Point, Term, Triple};
+
+const MONUMENT: &str = "http://dbpedia.org/resource/Mole_Antonelliana";
+
+fn mole() -> Point {
+    let gaz = Gazetteer::global();
+    gaz.poi("Mole_Antonelliana").unwrap().point(gaz)
+}
 
 /// Builds a federation of `n` nodes where everyone follows node 0's
-/// user.
+/// user and subscribes to a live near-Mole album on node 0.
 fn build(n: usize) -> (Federation, Acct) {
     let mut fed = Federation::new();
     let mut publisher = None;
@@ -22,14 +32,27 @@ fn build(n: usize) -> (Federation, Acct) {
         }
     }
     let publisher = publisher.expect("node 0 user");
+    let monument = [
+        Triple::spo(
+            MONUMENT,
+            ns::iri::rdfs_label().as_str(),
+            Term::Literal(Literal::lang("Mole Antonelliana", "it").unwrap()),
+        ),
+        Triple::spo(
+            MONUMENT,
+            ns::iri::geo_geometry().as_str(),
+            Term::Literal(mole().to_literal()),
+        ),
+    ];
+    fed.import_reference(0, &monument).unwrap();
+    let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 1.0);
     for i in 1..n {
         let follower = Acct {
             user: format!("user{i}"),
             host: format!("node{i}.example"),
         };
         fed.subscribe(i, &follower, &publisher).unwrap();
-        fed.sparql_subscribe(i, 0, "SELECT ?m WHERE { ?m a sioct:MicroblogPost . }")
-            .unwrap();
+        fed.live_subscribe(i, 0, &spec).unwrap();
     }
     (fed, publisher)
 }
@@ -38,28 +61,27 @@ fn main() {
     header(
         "E12",
         "federation: publish → notify fan-out",
-        "home nodes + WebFinger + PubSubHubbub/SparqlPuSH give near-instant notifications",
+        "home nodes + WebFinger + PubSubHubbub + live-album push give near-instant notifications",
     );
 
     row(&[
         "nodes".into(),
         "publish ms".into(),
         "hub notifications".into(),
-        "sparqlpush notifications".into(),
+        "live-push deliveries".into(),
         "timelines consistent".into(),
     ]);
     for n in [2usize, 5, 10, 25] {
         let (mut fed, publisher) = build(n);
-        let ((_, notifications), elapsed) =
-            time_once(|| fed.publish(&publisher, "fan-out test", 100).unwrap());
-        let hub = notifications
-            .iter()
-            .filter(|x| matches!(x, Notification::Activity { .. }))
-            .count();
-        let push = notifications
-            .iter()
-            .filter(|x| matches!(x, Notification::SparqlRows { .. }))
-            .count();
+        let pushed = |fed: &Federation| fed.live_push_ops().unwrap().delivered;
+        let before = pushed(&fed);
+        let point = mole().offset_km(0.05, 0.0);
+        let ((_, notifications), elapsed) = time_once(|| {
+            fed.publish_picture(&publisher, "fan-out test", point, 100)
+                .unwrap()
+        });
+        let hub = notifications.len();
+        let push = (pushed(&fed) - before) as usize;
         // Every subscriber timeline carries exactly the one activity.
         let consistent = (1..n).all(|i| {
             let entries = fed.node(i).unwrap().timeline().entries();

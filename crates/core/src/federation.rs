@@ -13,28 +13,31 @@
 //! * **FOAF profile sharing** → [`Node::profile_document`] /
 //!   [`Node::import_profile`];
 //! * **PubSubHubbub** → [`Federation::subscribe`] + topic fan-out with
-//!   near-instant notifications;
-//! * **SparqlPuSH** → [`Federation::sparql_subscribe`]: a SPARQL query
-//!   registered against a publisher node; on updates the query re-runs
-//!   and *new* rows are pushed;
+//!   near-instant notifications, shipped per follower node through the
+//!   shared delivery primitive (`core::outbox`: breaker, fault-plan
+//!   judge, dead-letter queue);
+//! * **SparqlPuSH** → [`Federation::live_subscribe`]: an album query
+//!   registered as a standing query on a publisher node; every commit
+//!   pushes its exact membership diff (additions *and* removals);
 //! * **ActivityStreams** → [`Activity`]/[`Timeline`] per node, merged
 //!   across subscriptions;
 //! * **Salmon** → [`Federation::reply`]: comments swim upstream to the
 //!   node owning the original content.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use lodify_obs::{Metrics, SharedClock, TraceContext, WallClock};
 use lodify_rdf::{ns, Iri, Literal, Term, Triple};
-use lodify_resilience::{DeadLetterQueue, DetRng, FaultPlan, ReplayReport, RetryPolicy, Telemetry};
+use lodify_resilience::{FaultPlan, ReplayReport, RetryPolicy, Telemetry};
 use lodify_store::Store;
 
 use crate::albums::AlbumSpec;
 use crate::error::PlatformError;
 use crate::live::{LiveAlbumId, PushHub, StandingQueryEngine, SubscriberAlbum, SubscriberId};
 use crate::metrics::LivePushOps;
+use crate::outbox::{Outbox, MAX_ATTEMPTS};
 
 /// A WebFinger-style account identifier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -151,6 +154,9 @@ pub struct Node {
     store: Store,
     users: Vec<Acct>,
     timeline: Timeline,
+    /// Activities notified to this node, in fan-out order; parked
+    /// deliveries refer to them by sequence (index + 1).
+    inbox: Vec<Activity>,
     next_media: u64,
     /// Content mutations since the last replication commit.
     ops: Vec<NodeOp>,
@@ -163,6 +169,7 @@ impl Node {
             store: Store::new(),
             users: Vec::new(),
             timeline: Timeline::default(),
+            inbox: Vec::new(),
             next_media: 1,
             ops: Vec::new(),
         }
@@ -507,20 +514,6 @@ pub enum Notification {
         /// The delivered activity.
         activity: Activity,
     },
-    /// A SparqlPuSH delivery of new result rows.
-    SparqlRows {
-        /// Receiving node.
-        to: NodeId,
-        /// Stringified new rows.
-        rows: Vec<String>,
-    },
-}
-
-struct SparqlSubscription {
-    publisher: NodeId,
-    subscriber: NodeId,
-    query: String,
-    seen: HashSet<String>,
 }
 
 /// Live-album state for one publisher node: a standing-query engine
@@ -533,27 +526,16 @@ struct NodeLive {
     hub: PushHub,
 }
 
-/// Delivery resilience: a scripted fault plan judged per receiving
-/// node (`node:<host>`), retries with virtual backoff, and a
-/// dead-letter queue of undeliverable notifications replayed by
-/// [`Federation::redeliver`].
-struct DeliveryResilience {
-    plan: FaultPlan,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<Notification>,
-    telemetry: Telemetry,
-}
-
 /// The federation: nodes + WebFinger directory + hub.
 pub struct Federation {
     nodes: Vec<Node>,
     /// `(topic acct, subscriber node)` — PubSubHubbub subscriptions.
     subscriptions: Vec<(Acct, NodeId)>,
-    sparql_subs: Vec<SparqlSubscription>,
     /// Per-publisher live albums (differential SparqlPuSH).
     live: BTreeMap<NodeId, NodeLive>,
-    resilience: Option<DeliveryResilience>,
+    /// Notification delivery; node `i` is peer `i`, judged under
+    /// `node:<host>`.
+    outbox: Outbox,
     observability: Option<Metrics>,
     /// Clock for delivery timing — wall by default, the fault plan's
     /// virtual clock once one is installed, so latency histograms are
@@ -570,16 +552,15 @@ impl Default for Federation {
 impl Federation {
     /// Attempt cap for a parked notification (initial failure + DLQ
     /// replays).
-    pub const DELIVERY_MAX_ATTEMPTS: u32 = 8;
+    pub const DELIVERY_MAX_ATTEMPTS: u32 = MAX_ATTEMPTS;
 
     /// An empty federation.
     pub fn new() -> Federation {
         Federation {
             nodes: Vec::new(),
             subscriptions: Vec::new(),
-            sparql_subs: Vec::new(),
             live: BTreeMap::new(),
-            resilience: None,
+            outbox: Outbox::new("federation"),
             observability: None,
             clock: Arc::new(WallClock::new()),
         }
@@ -603,9 +584,10 @@ impl Federation {
     }
 
     /// Installs fault-injected delivery: every PuSH/Salmon notification
-    /// to a node is judged by `plan` under target `node:<host>`,
-    /// retried per `retry` (advancing the plan's virtual clock), and
-    /// parked in a dead-letter queue when retries exhaust.
+    /// to a node is judged by `plan` under target `node:<host>` behind
+    /// the node's circuit breaker, retried per `retry` (advancing the
+    /// plan's virtual clock), and parked in a dead-letter queue when
+    /// retries exhaust.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
         self.clock = Arc::new(plan.clock().clone());
         // Live-push hubs share the plan: their deliveries are judged
@@ -613,36 +595,27 @@ impl Federation {
         for live in self.live.values_mut() {
             live.hub.with_fault_plan(plan.clone(), retry.clone());
         }
-        self.resilience = Some(DeliveryResilience {
-            plan,
-            retry,
-            rng: DetRng::seed_from_u64(0).fork("federation-delivery"),
-            dlq: DeadLetterQueue::new(Self::DELIVERY_MAX_ATTEMPTS),
-            telemetry: Telemetry::new(),
-        });
+        self.outbox.with_fault_plan(plan, retry);
     }
 
     /// Undelivered notifications awaiting [`Federation::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.resilience.as_ref().map(|r| r.dlq.depth()).unwrap_or(0)
+        self.outbox.depth()
     }
 
     /// Notifications abandoned after
     /// [`Federation::DELIVERY_MAX_ATTEMPTS`] attempts — surfaced for
     /// operators, never silently dropped.
     pub fn exhausted_deliveries(&self) -> usize {
-        self.resilience
-            .as_ref()
-            .map(|r| r.dlq.exhausted().len())
-            .unwrap_or(0)
+        self.outbox.exhausted()
     }
 
-    /// Delivery telemetry (`None` without a fault plan):
-    /// `federation.delivered` / `federation.retries` /
-    /// `federation.parked` / `federation.redelivered` counters and the
-    /// `federation.dlq.depth` gauge.
+    /// Delivery telemetry: `federation.delivered` /
+    /// `federation.retries` / `federation.parked` /
+    /// `federation.redelivered` / `federation.breaker.rejections`
+    /// counters and the `federation.dlq.depth` gauge.
     pub fn delivery_telemetry(&self) -> Option<&Telemetry> {
-        self.resilience.as_ref().map(|r| &r.telemetry)
+        Some(self.outbox.telemetry())
     }
 
     /// Adds a home node. Host names must be unique.
@@ -651,7 +624,7 @@ impl Federation {
             return Err(PlatformError::Invalid(format!("duplicate host {host:?}")));
         }
         self.nodes.push(Node::new(host));
-        Ok(self.nodes.len() - 1)
+        Ok(self.outbox.add_peer(format!("node:{host}")))
     }
 
     /// A node by id.
@@ -755,34 +728,12 @@ impl Federation {
         Ok(())
     }
 
-    /// SparqlPuSH: registers a SPARQL query against a publisher node;
-    /// future publishes re-run it and push only *new* rows.
-    pub fn sparql_subscribe(
-        &mut self,
-        subscriber: NodeId,
-        publisher: NodeId,
-        query: &str,
-    ) -> Result<(), PlatformError> {
-        // Validate the query and seed the seen-set with current rows.
-        let results = lodify_sparql::execute(&self.node(publisher)?.store, query)?;
-        let seen = results.rows.iter().map(|row| format!("{row:?}")).collect();
-        self.sparql_subs.push(SparqlSubscription {
-            publisher,
-            subscriber,
-            query: query.to_string(),
-            seen,
-        });
-        Ok(())
-    }
-
-    /// Differential SparqlPuSH (ROADMAP item 4): registers `spec` as a
-    /// standing query over `publisher`'s store and subscribes
-    /// `subscriber`'s host to the resulting [`crate::live::AlbumDiff`]
-    /// stream. Unlike [`Federation::sparql_subscribe`], which re-runs
-    /// the whole query on every publish and pushes stringified new
-    /// rows, this ships exact membership diffs maintained in O(delta).
-    /// Deliveries are judged by the installed fault plan under target
-    /// `push:<subscriber host>`.
+    /// SparqlPuSH: registers `spec` as a standing query over
+    /// `publisher`'s store and subscribes `subscriber`'s host to the
+    /// resulting [`crate::live::AlbumDiff`] stream — exact membership
+    /// diffs (removals included) maintained in O(delta), never a
+    /// re-run of the query. Deliveries are judged by the installed
+    /// fault plan under target `push:<subscriber host>`.
     pub fn live_subscribe(
         &mut self,
         subscriber: NodeId,
@@ -793,8 +744,8 @@ impl Federation {
         let callback = self.node(subscriber)?.host.clone();
         if !self.live.contains_key(&publisher) {
             let mut hub = PushHub::new();
-            if let Some(res) = &self.resilience {
-                hub.with_fault_plan(res.plan.clone(), res.retry.clone());
+            if let Some((plan, retry)) = self.outbox.fault_plan() {
+                hub.with_fault_plan(plan.clone(), retry.clone());
             }
             self.live.insert(
                 publisher,
@@ -902,8 +853,8 @@ impl Federation {
         Some(total)
     }
 
-    /// Publishes media on the author's node and fans out notifications
-    /// (PubSubHubbub activities + SparqlPuSH row diffs).
+    /// Publishes media on the author's node, maintains its live albums
+    /// and fans out PubSubHubbub activities to followers.
     pub fn publish(
         &mut self,
         author: &Acct,
@@ -923,7 +874,7 @@ impl Federation {
         self.nodes[node_id].timeline.push(activity.clone());
         let (additions, removals) = self.nodes[node_id].ops_delta(mark);
         self.live_maintain(node_id, &additions, &removals, None);
-        let notifications = self.fan_out(node_id, activity);
+        let notifications = self.fan_out(activity);
         Ok((media, notifications))
     }
 
@@ -965,7 +916,7 @@ impl Federation {
         self.nodes[node_id].timeline.push(activity.clone());
         let (additions, removals) = self.nodes[node_id].ops_delta(mark);
         self.live_maintain(node_id, &additions, &removals, None);
-        let notifications = self.fan_out(node_id, activity);
+        let notifications = self.fan_out(activity);
         Ok((media, notifications))
     }
 
@@ -1049,84 +1000,48 @@ impl Federation {
         self.nodes[owner].timeline.push(activity.clone());
         let (additions, removals) = self.nodes[owner].ops_delta(mark);
         self.live_maintain(owner, &additions, &removals, None);
-        Ok(self.fan_out(owner, activity))
+        Ok(self.fan_out(activity))
     }
 
-    fn fan_out(&mut self, publisher: NodeId, activity: Activity) -> Vec<Notification> {
-        let mut outbox = Vec::new();
-        // PubSubHubbub: everyone subscribed to the actor's topic.
+    /// PubSubHubbub: appends the activity to every follower node's
+    /// inbox and ships it. Without a fault plan every notification
+    /// lands directly; with one, each delivery is judged + retried, and
+    /// undeliverable notifications are parked instead of lost.
+    fn fan_out(&mut self, activity: Activity) -> Vec<Notification> {
         let receivers: Vec<NodeId> = self
             .subscriptions
             .iter()
             .filter(|(topic, _)| *topic == activity.actor)
             .map(|(_, node)| *node)
             .collect();
-        for to in receivers {
-            outbox.push(Notification::Activity {
-                to,
-                activity: activity.clone(),
-            });
-        }
-        // SparqlPuSH: re-run subscriptions against the publisher store.
-        for sub in &mut self.sparql_subs {
-            if sub.publisher != publisher {
-                continue;
-            }
-            let Ok(results) = lodify_sparql::execute(&self.nodes[publisher].store, &sub.query)
-            else {
-                continue;
-            };
-            let mut new_rows = Vec::new();
-            for row in &results.rows {
-                let key = format!("{row:?}");
-                if sub.seen.insert(key) {
-                    let rendered: Vec<String> = row
-                        .iter()
-                        .map(|c| c.as_ref().map(|t| t.to_string()).unwrap_or_default())
-                        .collect();
-                    new_rows.push(rendered.join(" | "));
-                }
-            }
-            if !new_rows.is_empty() {
-                outbox.push(Notification::SparqlRows {
-                    to: sub.subscriber,
-                    rows: new_rows,
-                });
-            }
-        }
-
-        // Delivery. Without a fault plan every notification lands
-        // directly (the original behaviour); with one, each delivery is
-        // judged + retried, and undeliverable notifications are parked
-        // instead of lost.
         let mut delivered = Vec::new();
-        for notification in outbox {
-            match self.try_deliver(&notification) {
-                Ok(()) => delivered.push(notification),
-                Err(error) => {
-                    let res = self.resilience.as_mut().expect("fallible only with plan");
-                    res.telemetry.incr("federation.parked");
-                    let now = res.plan.clock().now_ms();
-                    res.dlq.push(notification, error, now);
-                    res.telemetry
-                        .set_gauge("federation.dlq.depth", res.dlq.depth() as u64);
+        for to in receivers {
+            self.nodes[to].inbox.push(activity.clone());
+            let head = self.nodes[to].inbox.len() as u64;
+            while let Some(seq) = self.outbox.next(to, head) {
+                match self.try_deliver(to) {
+                    Ok(()) => delivered.push(self.land(to, seq)),
+                    Err(error) => self.outbox.park(to, seq, error),
                 }
             }
         }
         delivered
     }
 
-    /// Attempts one notification delivery (with retries when a fault
-    /// plan is installed), timed into the `federation.deliver`
-    /// histogram. Success applies the node-side effect.
-    fn try_deliver(&mut self, notification: &Notification) -> Result<(), String> {
+    /// Judges one notification delivery to node `to` (with retries when
+    /// a fault plan is installed), timed into the `federation.deliver`
+    /// histogram.
+    fn try_deliver(&mut self, to: NodeId) -> Result<(), String> {
         let timed = match &self.observability {
             Some(metrics) if metrics.is_enabled() => {
                 Some((metrics.clone(), self.clock.now_micros()))
             }
             _ => None,
         };
-        let result = self.try_deliver_inner(notification);
+        let result = self.outbox.judge(to);
+        if result.is_ok() {
+            self.outbox.count("delivered");
+        }
         if let Some((metrics, start)) = timed {
             match &result {
                 Ok(()) => {
@@ -1140,27 +1055,12 @@ impl Federation {
         result
     }
 
-    fn try_deliver_inner(&mut self, notification: &Notification) -> Result<(), String> {
-        let to = match notification {
-            Notification::Activity { to, .. } => *to,
-            Notification::SparqlRows { to, .. } => *to,
-        };
-        if let Some(res) = &mut self.resilience {
-            let target = format!("node:{}", self.nodes[to].host);
-            let plan = res.plan.clone();
-            let clock = plan.clock().clone();
-            res.retry
-                .run(&clock, &mut res.rng, |attempt| {
-                    if attempt > 1 {
-                        res.telemetry.incr("federation.retries");
-                    }
-                    plan.check(&target)
-                })
-                .map_err(|e| e.to_string())?;
-            res.telemetry.incr("federation.delivered");
-        }
-        apply_delivery(&mut self.nodes, notification);
-        Ok(())
+    /// Applies inbox entry `seq` to node `to`'s merged timeline.
+    fn land(&mut self, to: NodeId, seq: u64) -> Notification {
+        let node = &mut self.nodes[to];
+        let activity = node.inbox[(seq - 1) as usize].clone();
+        node.timeline.push(activity.clone());
+        Notification::Activity { to, activity }
     }
 
     /// Replays the delivery dead-letter queue: notifications whose node
@@ -1169,37 +1069,17 @@ impl Federation {
     /// [`Federation::DELIVERY_MAX_ATTEMPTS`] exhausts them. Returns the
     /// notifications delivered by this pass plus the replay report.
     pub fn redeliver(&mut self) -> (Vec<Notification>, ReplayReport) {
-        let Some(mut res) = self.resilience.take() else {
-            return (Vec::new(), ReplayReport::default());
-        };
         let mut landed = Vec::new();
-        let nodes = &mut self.nodes;
-        let plan = res.plan.clone();
-        let report = res.dlq.replay(|notification| {
-            let to = match notification {
-                Notification::Activity { to, .. } => *to,
-                Notification::SparqlRows { to, .. } => *to,
-            };
-            let target = format!("node:{}", nodes[to].host);
-            plan.check(&target).map_err(|e| e.to_string())?;
-            apply_delivery(nodes, notification);
-            landed.push(notification.clone());
-            Ok(())
-        });
-        res.telemetry
-            .add("federation.redelivered", report.replayed as u64);
-        res.telemetry
-            .set_gauge("federation.dlq.depth", res.dlq.depth() as u64);
-        self.resilience = Some(res);
+        let report = Outbox::replay(
+            self,
+            |fed| &mut fed.outbox,
+            |fed, to, seq| {
+                fed.outbox.judge(to)?;
+                landed.push(fed.land(to, seq));
+                Ok(())
+            },
+        );
         (landed, report)
-    }
-}
-
-/// Applies a notification's node-side effect (the subscriber's merged
-/// timeline; SparqlPuSH rows carry their payload in the notification).
-fn apply_delivery(nodes: &mut [Node], notification: &Notification) {
-    if let Notification::Activity { to, activity } = notification {
-        nodes[*to].timeline.push(activity.clone());
     }
 }
 
@@ -1328,40 +1208,6 @@ mod tests {
         let (_, notifications) = fed.publish(&walter, "quiet post", 1).unwrap();
         assert!(notifications.is_empty());
         assert!(fed.node(0).unwrap().timeline().entries().is_empty());
-    }
-
-    #[test]
-    fn sparqlpush_delivers_only_new_rows() {
-        let (mut fed, _, walter) = two_node_federation();
-        fed.publish(&walter, "before subscription", 1).unwrap();
-        fed.sparql_subscribe(
-            0,
-            1,
-            "SELECT ?m ?t WHERE { ?m a sioct:MicroblogPost . ?m rdfs:label ?t . }",
-        )
-        .unwrap();
-        // Existing rows are seeded, not delivered.
-        let (_, n1) = fed.publish(&walter, "first push", 2).unwrap();
-        let rows: Vec<&Notification> = n1
-            .iter()
-            .filter(|n| matches!(n, Notification::SparqlRows { .. }))
-            .collect();
-        assert_eq!(rows.len(), 1);
-        if let Notification::SparqlRows { to, rows } = rows[0] {
-            assert_eq!(*to, 0);
-            assert_eq!(rows.len(), 1);
-            assert!(rows[0].contains("first push"));
-        }
-        // Re-publishing pushes only the newest row again.
-        let (_, n2) = fed.publish(&walter, "second push", 3).unwrap();
-        let pushed: Vec<&Notification> = n2
-            .iter()
-            .filter(|n| matches!(n, Notification::SparqlRows { .. }))
-            .collect();
-        if let Notification::SparqlRows { rows, .. } = pushed[0] {
-            assert_eq!(rows.len(), 1);
-            assert!(rows[0].contains("second push"));
-        }
     }
 
     #[test]
@@ -1513,50 +1359,6 @@ mod tests {
         let telemetry = fed.delivery_telemetry().unwrap();
         assert_eq!(telemetry.counter("federation.delivered"), 1);
         assert_eq!(telemetry.counter("federation.parked"), 0);
-    }
-
-    #[test]
-    fn sparql_rows_survive_parking_and_redeliver_with_payload() {
-        use lodify_resilience::VirtualClock;
-
-        let (mut fed, _, walter) = two_node_federation();
-        fed.sparql_subscribe(
-            0,
-            1,
-            "SELECT ?m ?t WHERE { ?m a sioct:MicroblogPost . ?m rdfs:label ?t . }",
-        )
-        .unwrap();
-
-        let clock = VirtualClock::new();
-        let plan = FaultPlan::builder()
-            .outage("node:node1.example", 0, 1_000)
-            .build(clock.clone());
-        fed.with_fault_plan(plan, RetryPolicy::no_retry());
-
-        let (_, notifications) = fed.publish(&walter, "row diff", 5).unwrap();
-        assert!(notifications.is_empty());
-        assert_eq!(fed.undelivered(), 1);
-
-        clock.set(2_000);
-        let (landed, _) = fed.redeliver();
-        assert_eq!(landed.len(), 1);
-        // The parked notification kept its row payload — the row is not
-        // re-announced on the next publish (seen-set already updated).
-        let Notification::SparqlRows { to, rows } = &landed[0] else {
-            panic!("expected SparqlRows");
-        };
-        assert_eq!(*to, 0);
-        assert!(rows[0].contains("row diff"));
-        let (_, next) = fed.publish(&walter, "fresh row", 6).unwrap();
-        let diffs: Vec<&Notification> = next
-            .iter()
-            .filter(|n| matches!(n, Notification::SparqlRows { .. }))
-            .collect();
-        assert_eq!(diffs.len(), 1);
-        if let Notification::SparqlRows { rows, .. } = diffs[0] {
-            assert_eq!(rows.len(), 1, "only the new row");
-            assert!(rows[0].contains("fresh row"));
-        }
     }
 
     #[test]
@@ -1769,6 +1571,26 @@ mod tests {
         assert!(fed.live_links(0, album).is_empty());
         assert!(fed.live_subscriber(0, sub).unwrap().links().is_empty());
         assert!(fed.live_hub(0).unwrap().converged());
+    }
+
+    #[test]
+    fn unknown_live_subscriber_ids_are_none_not_a_panic() {
+        let (mut fed, _, _) = two_node_federation();
+        seed_monument(&mut fed, 0);
+        let (_, sub) = fed.live_subscribe(1, 0, &live_spec()).unwrap();
+        let ghost = sub + 1;
+        assert!(fed.live_subscriber(0, ghost).is_none());
+        let hub = fed.live_hub_mut(0).unwrap();
+        hub.kill(ghost);
+        hub.recover(ghost);
+        assert!(fed.live_subscriber(0, sub).is_some());
+        assert_eq!(
+            fed.live_hub(0)
+                .unwrap()
+                .telemetry()
+                .counter("live.push.crashes"),
+            0
+        );
     }
 
     #[test]

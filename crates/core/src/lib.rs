@@ -28,8 +28,12 @@
 //!   minimal std-only HTTP server;
 //! * [`federation`] — the future-work architecture of §6: home-network
 //!   nodes, WebFinger identities, FOAF profile exchange,
-//!   PubSubHubbub/SparqlPuSH notification and ActivityStreams
-//!   timelines, simulated in-process;
+//!   PubSubHubbub notification, SparqlPuSH live-album subscriptions
+//!   and ActivityStreams timelines, simulated in-process;
+//! * `outbox` (crate-internal) — the one delivery primitive that
+//!   federation notifications, replication and live push share:
+//!   per-peer cursors and circuit breakers, the fault-plan judge with
+//!   retries, and a dead-letter queue with replay;
 //! * [`replication`] — emission-level state replication between home
 //!   nodes: CRC-framed per-node emission journals, policy-filtered
 //!   links, idempotent apply with sequence-gap catch-up, and
@@ -58,6 +62,7 @@ pub mod ingest;
 pub mod live;
 pub mod mashup;
 pub mod metrics;
+pub(crate) mod outbox;
 pub mod platform;
 pub mod replication;
 pub mod search;

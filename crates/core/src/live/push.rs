@@ -2,50 +2,37 @@
 //!
 //! The paper's §6 names PubSubHubbub/SparqlPuSH push as the missing
 //! distribution leg of LODified sharing. [`PushHub`] supplies it for
-//! live albums: every subscriber owns a durable-ordered **outbox** of
+//! live albums: every subscriber owns an ordered **diff journal** of
 //! [`AlbumDiff`] frames (monotonic sequence numbers), shipped through
-//! the same resilience machinery the federation and replication layers
-//! use — a per-subscriber circuit breaker, a [`FaultPlan`] judged at
-//! target `push:<callback>` under a [`RetryPolicy`], and a dead-letter
-//! queue replayed by [`PushHub::redeliver`].
+//! the delivery primitive the federation and replication layers share
+//! (`core::outbox`): a per-subscriber circuit breaker, a [`FaultPlan`]
+//! judged at target `push:<callback>` under a [`RetryPolicy`], and a
+//! dead-letter queue replayed by [`PushHub::redeliver`].
 //!
 //! Delivery is **at-least-once** and subscriber apply is
 //! **idempotent**: frames carry absolute `(link, rank)` upserts, the
 //! subscriber keeps a cursor of the highest applied sequence
 //! (duplicates are no-ops), and a gap triggers a catch-up replay from
-//! the outbox journal — so drops, duplicates and mid-stream subscriber
+//! the diff journal — so drops, duplicates and mid-stream subscriber
 //! crashes all converge to the same state. A crashed subscriber that
-//! recovers replays the full outbox from sequence 1; because frames
+//! recovers replays the full journal from sequence 1; because frames
 //! are absolute upserts/removals, the replay reconstructs the album
 //! exactly (chaos tests assert byte-identity with a fresh recompute).
 
 use std::collections::BTreeMap;
 
-use lodify_obs::{Metrics, Obs, Tracer};
-use lodify_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, DeadLetterQueue, DetRng, FaultPlan, ReplayReport,
-    RetryPolicy, Telemetry,
-};
+use lodify_obs::{Obs, Tracer};
+use lodify_resilience::{BreakerState, FaultPlan, ReplayReport, RetryPolicy, Telemetry};
 
 use super::engine::{member_order, AlbumDiff, LiveAlbumId, Rank, StandingQueryEngine};
 use crate::metrics::LivePushOps;
+use crate::outbox::{Outbox, MAX_ATTEMPTS};
 
 /// Attempts before a parked push shipment is abandoned.
-pub const PUSH_MAX_ATTEMPTS: u32 = 8;
+pub const PUSH_MAX_ATTEMPTS: u32 = MAX_ATTEMPTS;
 
 /// Handle of one subscription.
 pub type SubscriberId = usize;
-
-/// A parked delivery: which subscriber, which outbox frame. The
-/// payload is refetched from the outbox on replay, so the DLQ stays
-/// small.
-#[derive(Debug, Clone)]
-pub struct PushShipment {
-    /// The subscription the frame belongs to.
-    pub subscriber: SubscriberId,
-    /// Outbox sequence number of the frame.
-    pub seq: u64,
-}
 
 /// The subscriber-side materialization: an idempotent fold over the
 /// diff stream.
@@ -57,7 +44,14 @@ pub struct SubscriberAlbum {
 }
 
 impl SubscriberAlbum {
-    /// Highest applied outbox sequence.
+    fn empty(limit: Option<usize>) -> SubscriberAlbum {
+        SubscriberAlbum {
+            limit,
+            ..SubscriberAlbum::default()
+        }
+    }
+
+    /// Highest applied journal sequence.
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
@@ -95,38 +89,29 @@ impl SubscriberAlbum {
 }
 
 struct PushSub {
-    /// Callback identity; deliveries are judged at `push:<callback>`.
     callback: String,
     album: LiveAlbumId,
     /// Result cap the subscriber renders with (survives crashes).
     limit: Option<usize>,
     /// Ordered diff journal; frame `i` has sequence `i + 1`.
-    outbox: Vec<AlbumDiff>,
-    /// Highest sequence handed to delivery (success or parked).
-    shipped: u64,
-    breaker: CircuitBreaker,
+    journal: Vec<AlbumDiff>,
     /// `None` while the subscriber is crashed.
     state: Option<SubscriberAlbum>,
 }
 
 impl PushSub {
     fn head(&self) -> u64 {
-        self.outbox.len() as u64
+        self.journal.len() as u64
     }
 }
 
-/// Per-subscriber diff outboxes with fault-injected, at-least-once
+/// Per-subscriber diff journals with fault-injected, at-least-once
 /// shipping. See the module docs.
 pub struct PushHub {
+    /// Subscriber `i` is peer `i` of the outbox.
     subs: Vec<PushSub>,
-    plan: Option<FaultPlan>,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<PushShipment>,
-    telemetry: Telemetry,
-    metrics: Option<Metrics>,
+    outbox: Outbox,
     tracer: Option<Tracer>,
-    breaker_config: BreakerConfig,
 }
 
 impl Default for PushHub {
@@ -140,14 +125,8 @@ impl PushHub {
     pub fn new() -> PushHub {
         PushHub {
             subs: Vec::new(),
-            plan: None,
-            retry: RetryPolicy::no_retry(),
-            rng: DetRng::seed_from_u64(0).fork("live-push-transport"),
-            dlq: DeadLetterQueue::new(PUSH_MAX_ATTEMPTS),
-            telemetry: Telemetry::default(),
-            metrics: None,
+            outbox: Outbox::new("live.push"),
             tracer: None,
-            breaker_config: BreakerConfig::default(),
         }
     }
 
@@ -155,23 +134,22 @@ impl PushHub {
     /// subscriber is judged by `plan` under target `push:<callback>`,
     /// retried per `retry`.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.plan = Some(plan);
-        self.retry = retry;
+        self.outbox.with_fault_plan(plan, retry);
     }
 
     /// Attaches observability: `live.push` spans plus mirrored
     /// counters and the `live.push.lag` gauge.
     pub fn set_observability(&mut self, obs: &Obs) {
-        self.metrics = Some(obs.metrics().clone());
+        self.outbox.set_metrics(obs.metrics().clone());
         self.tracer = Some(obs.tracer().clone());
     }
 
     /// Push telemetry (`live.push.*` counters and gauges).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.outbox.telemetry()
     }
 
-    /// Subscribes `callback` to `album`, seeding its outbox with a
+    /// Subscribes `callback` to `album`, seeding its journal with a
     /// snapshot frame so a fresh subscriber converges to the current
     /// membership. Returns the subscription handle.
     pub fn subscribe(
@@ -180,7 +158,7 @@ impl PushHub {
         album: LiveAlbumId,
         engine: &StandingQueryEngine,
     ) -> SubscriberId {
-        let spec = engine.spec(album);
+        let limit = engine.spec(album).limit;
         let snapshot = AlbumDiff {
             album,
             upserts: engine.members(album),
@@ -188,21 +166,14 @@ impl PushHub {
             moved: Vec::new(),
             trace: None,
         };
-        let id = self.subs.len();
         self.subs.push(PushSub {
             callback: callback.to_string(),
             album,
-            limit: spec.limit,
-            outbox: vec![snapshot],
-            shipped: 0,
-            breaker: CircuitBreaker::new(self.breaker_config.clone()),
-            state: Some(SubscriberAlbum {
-                members: BTreeMap::new(),
-                cursor: 0,
-                limit: spec.limit,
-            }),
+            limit,
+            journal: vec![snapshot],
+            state: Some(SubscriberAlbum::empty(limit)),
         });
-        id
+        self.outbox.add_peer(format!("push:{callback}"))
     }
 
     /// Number of subscriptions.
@@ -215,13 +186,13 @@ impl PushHub {
         self.subs.is_empty()
     }
 
-    /// Appends `diff` to the outbox of every subscriber of its album.
+    /// Appends `diff` to the journal of every subscriber of its album.
     /// Call [`Self::pump`] afterwards to ship.
     pub fn offer(&mut self, diff: &AlbumDiff) {
         for sub in &mut self.subs {
             if sub.album == diff.album {
-                sub.outbox.push(diff.clone());
-                self.telemetry.incr("live.push.offered");
+                sub.journal.push(diff.clone());
+                self.outbox.count("offered");
             }
         }
     }
@@ -231,68 +202,35 @@ impl PushHub {
     /// catch-up replay keep out-of-order arrivals correct.
     pub fn pump(&mut self) {
         for idx in 0..self.subs.len() {
-            loop {
-                let sub = &self.subs[idx];
-                let seq = sub.shipped + 1;
-                if seq > sub.head() {
-                    break;
-                }
-                let trace = sub.outbox[(seq - 1) as usize].trace;
+            while let Some(seq) = self.outbox.next(idx, self.subs[idx].head()) {
+                let trace = self.subs[idx].journal[(seq - 1) as usize].trace;
                 let span = self
                     .tracer
                     .as_ref()
                     .map(|t| t.start_with_context("live.push", trace));
-                let verdict = judge_push(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.subs[idx],
-                );
-                match verdict {
+                match self.outbox.judge(idx) {
                     Ok(()) => self.deliver(idx, seq),
-                    Err(error) => self.park(
-                        PushShipment {
-                            subscriber: idx,
-                            seq,
-                        },
-                        error,
-                    ),
+                    Err(error) => self.outbox.park(idx, seq, error),
                 }
-                self.subs[idx].shipped = seq;
                 drop(span);
             }
         }
-        self.publish_gauges();
+        self.outbox.publish_gauges(self.lag());
     }
 
     /// Replays the push dead-letter queue; still-failing shipments are
     /// re-parked until [`PUSH_MAX_ATTEMPTS`] exhausts them.
     pub fn redeliver(&mut self) -> ReplayReport {
-        let mut dlq = std::mem::replace(&mut self.dlq, DeadLetterQueue::new(PUSH_MAX_ATTEMPTS));
-        let report = dlq.replay(|shipment| {
-            let head = self
-                .subs
-                .get(shipment.subscriber)
-                .ok_or_else(|| "subscription removed".to_string())?
-                .head();
-            if shipment.seq > head {
-                return Err(format!("frame {} missing", shipment.seq));
-            }
-            judge_push(
-                self.plan.as_ref(),
-                &self.retry,
-                &mut self.rng,
-                &self.telemetry,
-                &mut self.subs[shipment.subscriber],
-            )?;
-            self.deliver(shipment.subscriber, shipment.seq);
-            Ok(())
-        });
-        self.dlq = dlq;
-        self.telemetry
-            .add("live.push.redelivered", report.replayed as u64);
-        self.publish_gauges();
+        let report = Outbox::replay(
+            self,
+            |hub| &mut hub.outbox,
+            |hub, idx, seq| {
+                hub.outbox.judge(idx)?;
+                hub.deliver(idx, seq);
+                Ok(())
+            },
+        );
+        self.outbox.publish_gauges(self.lag());
         report
     }
 
@@ -307,52 +245,40 @@ impl PushHub {
         let mut applied = false;
         for q in (state.cursor + 1)..=seq {
             if q < seq {
-                self.telemetry.incr("live.push.catchups");
+                self.outbox.count("catchups");
             }
-            applied |= state.apply(q, &sub.outbox[(q - 1) as usize]);
+            applied |= state.apply(q, &sub.journal[(q - 1) as usize]);
         }
-        if applied {
-            self.telemetry.incr("live.push.delivered");
-            if let Some(metrics) = &self.metrics {
-                metrics.incr("live.push.delivered");
-            }
-        } else {
-            self.telemetry.incr("live.push.duplicates");
-        }
-    }
-
-    fn park(&mut self, shipment: PushShipment, error: String) {
-        self.telemetry.incr("live.push.parked");
-        let now = self.plan.as_ref().map(|p| p.clock().now_ms()).unwrap_or(0);
-        self.dlq.push(shipment, error, now);
+        self.outbox
+            .count(if applied { "delivered" } else { "duplicates" });
     }
 
     /// Simulates a subscriber crash: its materialized state (cursor
-    /// included) is lost; the outbox journal survives hub-side.
+    /// included) is lost; the diff journal survives hub-side. Unknown
+    /// ids are ignored.
     pub fn kill(&mut self, id: SubscriberId) {
-        self.subs[id].state = None;
-        self.telemetry.incr("live.push.crashes");
+        if let Some(sub) = self.subs.get_mut(id) {
+            sub.state = None;
+            self.outbox.count("crashes");
+        }
     }
 
     /// Recovers a crashed subscriber with empty state. Shipping
     /// restarts from sequence 1; replaying the absolute diff stream
     /// reconstructs the album exactly.
     pub fn recover(&mut self, id: SubscriberId) {
-        let sub = &mut self.subs[id];
-        if sub.state.is_some() {
+        let Some(sub) = self.subs.get_mut(id) else {
             return;
+        };
+        if sub.state.is_none() {
+            sub.state = Some(SubscriberAlbum::empty(sub.limit));
+            self.outbox.rewind(id);
         }
-        sub.state = Some(SubscriberAlbum {
-            members: BTreeMap::new(),
-            cursor: 0,
-            limit: sub.limit,
-        });
-        sub.shipped = 0;
     }
 
-    /// The subscriber's materialized album, if it is up.
+    /// The subscriber's materialized album, if it exists and is up.
     pub fn subscriber(&self, id: SubscriberId) -> Option<&SubscriberAlbum> {
-        self.subs[id].state.as_ref()
+        self.subs.get(id)?.state.as_ref()
     }
 
     /// `(callback, album, head, shipped, cursor, breaker)` rows for
@@ -360,26 +286,27 @@ impl PushHub {
     pub fn rows(&self) -> Vec<(String, LiveAlbumId, u64, u64, Option<u64>, BreakerState)> {
         self.subs
             .iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(idx, s)| {
                 (
                     s.callback.clone(),
                     s.album,
                     s.head(),
-                    s.shipped,
+                    self.outbox.shipped(idx),
                     s.state.as_ref().map(SubscriberAlbum::cursor),
-                    s.breaker.state(),
+                    self.outbox.breaker_state(idx),
                 )
             })
             .collect()
     }
 
-    /// Maximum outbox backlog over live subscribers (head − cursor).
+    /// Maximum journal backlog over live subscribers (head − cursor).
     pub fn lag(&self) -> u64 {
         self.subs
             .iter()
-            .map(|s| match &s.state {
-                Some(state) => s.head().saturating_sub(state.cursor),
-                None => s.head(),
+            .map(|s| {
+                s.head()
+                    .saturating_sub(s.state.as_ref().map_or(0, SubscriberAlbum::cursor))
             })
             .max()
             .unwrap_or(0)
@@ -388,80 +315,30 @@ impl PushHub {
     /// Whether every live subscriber has applied every frame with
     /// nothing parked.
     pub fn converged(&self) -> bool {
-        self.lag() == 0 && self.dlq.depth() == 0
+        self.lag() == 0 && self.outbox.depth() == 0
     }
 
     /// Parked deliveries awaiting [`Self::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.dlq.depth()
+        self.outbox.depth()
     }
 
     /// Deliveries abandoned after [`PUSH_MAX_ATTEMPTS`].
     pub fn exhausted(&self) -> usize {
-        self.dlq.exhausted().len()
+        self.outbox.exhausted()
     }
 
     /// Counter snapshot for `/ops`.
     pub fn ops(&self) -> LivePushOps {
         LivePushOps {
             subscribers: self.subs.len(),
-            delivered: self.telemetry.counter("live.push.delivered"),
-            parked: self.telemetry.counter("live.push.parked"),
-            redelivered: self.telemetry.counter("live.push.redelivered"),
+            delivered: self.outbox.counter("delivered"),
+            parked: self.outbox.counter("parked"),
+            redelivered: self.outbox.counter("redelivered"),
             lag: self.lag(),
-            dlq_depth: self.dlq.depth(),
+            dlq_depth: self.outbox.depth(),
         }
     }
-
-    fn publish_gauges(&self) {
-        let lag = self.lag();
-        self.telemetry.set_gauge("live.push.lag", lag);
-        self.telemetry
-            .set_gauge("live.push.dlq.depth", self.dlq.depth() as u64);
-        if let Some(metrics) = &self.metrics {
-            metrics.set_gauge("live.push.lag", lag);
-            metrics.set_gauge("live.push.dlq.depth", self.dlq.depth() as u64);
-        }
-    }
-}
-
-/// Judges one push delivery: per-subscriber breaker first, then the
-/// fault plan under target `push:<callback>` (with retry/backoff in
-/// virtual time) — the same shape as replication's transport judge.
-fn judge_push(
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut DetRng,
-    telemetry: &Telemetry,
-    sub: &mut PushSub,
-) -> Result<(), String> {
-    let target = format!("push:{}", sub.callback);
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    if !sub.breaker.allow(now) {
-        telemetry.incr("live.push.breaker.rejections");
-        return Err(format!("breaker open for {target}"));
-    }
-    let outcome = match plan {
-        None => Ok(()),
-        Some(plan) => {
-            let clock = plan.clock().clone();
-            retry
-                .run(&clock, rng, |attempt| {
-                    if attempt > 1 {
-                        telemetry.incr("live.push.retries");
-                    }
-                    plan.check(&target)
-                })
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-    };
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    match &outcome {
-        Ok(()) => sub.breaker.on_success(now),
-        Err(_) => sub.breaker.on_failure(now),
-    }
-    outcome
 }
 
 #[cfg(test)]

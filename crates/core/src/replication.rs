@@ -14,9 +14,10 @@
 //!   [`SharePolicy`] (by user, album, or predicate namespace); a
 //!   filtered-out emission still ships as an *empty* sequence marker,
 //!   so policy never punches holes in the sequence space;
-//! * transport is simulated, judged per link by a
-//!   `lodify-resilience` fault plan (target `repl:<from>-><to>`) with
-//!   retry/backoff, a per-peer circuit breaker, and a dead-letter
+//! * transport is simulated through the shared delivery primitive
+//!   (`core::outbox`): each link is judged by a `lodify-resilience`
+//!   fault plan (target `repl:<from>-><to>`) with retry/backoff behind
+//!   a per-peer circuit breaker, and failures park in a dead-letter
 //!   queue replayed by [`Replicator::redeliver`];
 //! * receivers apply idempotently: a duplicate (`seq ≤ cursor`) or a
 //!   stale epoch is a no-op; a sequence gap triggers a **catch-up
@@ -45,23 +46,21 @@ use std::collections::BTreeMap;
 
 use lodify_durability::codec::{self, PayloadOutcome};
 use lodify_durability::Storage;
-use lodify_obs::{Metrics, Obs, TraceContext, Tracer};
+use lodify_obs::{Obs, TraceContext, Tracer};
 use lodify_rdf::{Iri, Triple};
-use lodify_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, DeadLetterQueue, DetRng, FaultPlan, ReplayReport,
-    RetryPolicy, Telemetry,
-};
+use lodify_resilience::{BreakerState, DetRng, FaultPlan, ReplayReport, RetryPolicy, Telemetry};
 
 use crate::error::PlatformError;
 use crate::federation::{Acct, Federation, NodeId, NodeOp};
 use crate::metrics::ReplicationOps;
+use crate::outbox::{Outbox, MAX_ATTEMPTS};
 
 /// Journal file name inside a replica's storage (lives beside the
 /// node's WAL files when they share a directory).
 pub const EMISSIONS_FILE: &str = "emissions";
 
 /// Attempt cap for a parked shipment (initial failure + replays).
-pub const REPLICATION_MAX_ATTEMPTS: u32 = 8;
+pub const REPLICATION_MAX_ATTEMPTS: u32 = MAX_ATTEMPTS;
 
 // ------------------------------------------------------------ emissions
 
@@ -328,6 +327,42 @@ impl SharePolicy {
     }
 }
 
+// ------------------------------------------------------------- journal
+
+/// A durable emission journal: CRC-framed emissions appended to one
+/// storage object and flushed on every append. Opening it recovers
+/// every acknowledged emission and chops a torn tail, so later appends
+/// frame cleanly.
+struct EmissionJournal {
+    storage: Box<dyn Storage>,
+    entries: Vec<Emission>,
+}
+
+impl EmissionJournal {
+    fn open(mut storage: Box<dyn Storage>) -> Result<EmissionJournal, PlatformError> {
+        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
+            storage.read(EMISSIONS_FILE)?
+        } else {
+            storage.create(EMISSIONS_FILE)?;
+            Vec::new()
+        };
+        let (entries, clean_len) = scan_emissions(&bytes)?;
+        if clean_len < bytes.len() {
+            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
+            storage.flush(EMISSIONS_FILE)?;
+        }
+        Ok(EmissionJournal { storage, entries })
+    }
+
+    fn append(&mut self, emission: Emission) -> Result<(), PlatformError> {
+        self.storage
+            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
+        self.storage.flush(EMISSIONS_FILE)?;
+        self.entries.push(emission);
+        Ok(())
+    }
+}
+
 // ------------------------------------------------------------- replica
 
 /// Applied position of one remote origin at a replica.
@@ -344,8 +379,7 @@ pub struct Cursor {
 /// cursors derived from it.
 struct Replica {
     host: String,
-    storage: Box<dyn Storage>,
-    journal: Vec<Emission>,
+    journal: EmissionJournal,
     /// Journal indexes of own emissions, by `seq - 1`.
     own: Vec<usize>,
     next_seq: u64,
@@ -353,39 +387,26 @@ struct Replica {
 }
 
 impl Replica {
-    fn open(host: String, mut storage: Box<dyn Storage>) -> Result<Replica, PlatformError> {
-        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
-            storage.read(EMISSIONS_FILE)?
-        } else {
-            storage.create(EMISSIONS_FILE)?;
-            Vec::new()
-        };
-        let (emissions, clean_len) = scan_emissions(&bytes)?;
-        if clean_len < bytes.len() {
-            // Chop the torn tail so future appends frame cleanly.
-            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
-            storage.flush(EMISSIONS_FILE)?;
-        }
+    fn open(host: String, storage: Box<dyn Storage>) -> Result<Replica, PlatformError> {
         let mut replica = Replica {
             host,
-            storage,
-            journal: Vec::with_capacity(emissions.len()),
+            journal: EmissionJournal::open(storage)?,
             own: Vec::new(),
             next_seq: 1,
             cursors: BTreeMap::new(),
         };
-        for emission in emissions {
-            replica.index(emission);
+        for at in 0..replica.journal.entries.len() {
+            replica.index(at);
         }
         Ok(replica)
     }
 
-    /// Records an emission in the in-memory index (journal already
-    /// holds its bytes).
-    fn index(&mut self, emission: Emission) {
+    /// Indexes the journal entry at `at` as own emission or cursor.
+    fn index(&mut self, at: usize) {
+        let emission = &self.journal.entries[at];
         if emission.origin.host == self.host {
             debug_assert_eq!(emission.seq as usize, self.own.len() + 1);
-            self.own.push(self.journal.len());
+            self.own.push(at);
             self.next_seq = self.next_seq.max(emission.seq + 1);
         } else {
             self.cursors.insert(
@@ -396,22 +417,19 @@ impl Replica {
                 },
             );
         }
-        self.journal.push(emission);
     }
 
-    /// Appends an emission durably (framed, flushed) and indexes it.
+    /// Appends an emission durably and indexes it.
     fn append(&mut self, emission: Emission) -> Result<(), PlatformError> {
-        self.storage
-            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
-        self.storage.flush(EMISSIONS_FILE)?;
-        self.index(emission);
+        self.journal.append(emission)?;
+        self.index(self.journal.entries.len() - 1);
         Ok(())
     }
 
     /// One of this node's own emissions by sequence number.
     fn own_emission(&self, seq: u64) -> Option<&Emission> {
         let idx = *self.own.get((seq as usize).checked_sub(1)?)?;
-        self.journal.get(idx)
+        self.journal.entries.get(idx)
     }
 
     fn cursor(&self, origin_host: &str) -> Cursor {
@@ -477,64 +495,11 @@ impl ChaosState {
     }
 }
 
-/// A parked shipment: link endpoints plus the origin sequence number
-/// (the emission itself is refetched from the origin journal on
-/// replay, so the DLQ never holds stale payloads).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Shipment {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Origin sequence number.
-    pub seq: u64,
-}
-
+/// A directed replication link; link `i` is peer `i` of the outbox.
 struct Link {
     from: NodeId,
     to: NodeId,
     policy: SharePolicy,
-    /// Highest origin seq this link has shipped (or handed to the DLQ).
-    acked: u64,
-    breaker: CircuitBreaker,
-}
-
-/// Judges one transport call over a link: per-peer breaker first, then
-/// the fault plan (with retry/backoff in virtual time).
-fn judge_transport(
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut DetRng,
-    telemetry: &Telemetry,
-    link: &mut Link,
-    target: &str,
-) -> Result<(), String> {
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    if !link.breaker.allow(now) {
-        telemetry.incr("replication.breaker.rejections");
-        return Err(format!("breaker open for {target}"));
-    }
-    let outcome = match plan {
-        None => Ok(()),
-        Some(plan) => {
-            let clock = plan.clock().clone();
-            retry
-                .run(&clock, rng, |attempt| {
-                    if attempt > 1 {
-                        telemetry.incr("replication.retries");
-                    }
-                    plan.check(target)
-                })
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-    };
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    match &outcome {
-        Ok(()) => link.breaker.on_success(now),
-        Err(_) => link.breaker.on_failure(now),
-    }
-    outcome
 }
 
 // ----------------------------------------------------------- replicator
@@ -544,17 +509,11 @@ fn judge_transport(
 pub struct Replicator {
     replicas: BTreeMap<NodeId, Replica>,
     links: Vec<Link>,
-    plan: Option<FaultPlan>,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<Shipment>,
+    outbox: Outbox,
     chaos: Option<ChaosState>,
     /// Reordered deliveries held for the next pump: `(link, emission)`.
     delayed: Vec<(usize, Emission)>,
-    telemetry: Telemetry,
-    metrics: Option<Metrics>,
     tracer: Option<Tracer>,
-    breaker_config: BreakerConfig,
 }
 
 impl Default for Replicator {
@@ -569,16 +528,10 @@ impl Replicator {
         Replicator {
             replicas: BTreeMap::new(),
             links: Vec::new(),
-            plan: None,
-            retry: RetryPolicy::no_retry(),
-            rng: DetRng::seed_from_u64(0).fork("replication-transport"),
-            dlq: DeadLetterQueue::new(REPLICATION_MAX_ATTEMPTS),
+            outbox: Outbox::new("replication"),
             chaos: None,
             delayed: Vec::new(),
-            telemetry: Telemetry::new(),
-            metrics: None,
             tracer: None,
-            breaker_config: BreakerConfig::default(),
         }
     }
 
@@ -586,8 +539,7 @@ impl Replicator {
     /// `from → to` is judged by `plan` under target
     /// `repl:<from_host>-><to_host>`, retried per `retry`.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.plan = Some(plan);
-        self.retry = retry;
+        self.outbox.with_fault_plan(plan, retry);
     }
 
     /// Installs (or clears) seeded drop/duplicate/reorder misbehavior
@@ -599,22 +551,16 @@ impl Replicator {
         });
     }
 
-    /// Overrides the per-peer circuit breaker configuration for links
-    /// created after this call.
-    pub fn set_breaker_config(&mut self, config: BreakerConfig) {
-        self.breaker_config = config;
-    }
-
     /// Attaches observability: `replication.ship` / `replication.apply`
     /// spans and mirrored counters + the `replication.lag` gauge.
     pub fn set_observability(&mut self, obs: &Obs) {
-        self.metrics = Some(obs.metrics().clone());
+        self.outbox.set_metrics(obs.metrics().clone());
         self.tracer = Some(obs.tracer().clone());
     }
 
     /// Replication telemetry (`replication.*` counters and gauges).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.outbox.telemetry()
     }
 
     /// Attaches (or re-attaches) a node's replica state, opening its
@@ -630,7 +576,7 @@ impl Replicator {
         let host = fed.node(node)?.host().to_string();
         let replica = Replica::open(host, storage)?;
         let report = AttachReport {
-            recovered: replica.journal.len(),
+            recovered: replica.journal.entries.len(),
             next_seq: replica.next_seq,
             origins: replica.cursors.len(),
         };
@@ -646,6 +592,8 @@ impl Replicator {
     }
 
     /// Adds a directed replication link `from → to` under `policy`.
+    /// Both ends must be attached: the link's transport target names
+    /// their hosts.
     pub fn subscribe(
         &mut self,
         from: NodeId,
@@ -660,13 +608,17 @@ impl Replicator {
                 "duplicate link {from} -> {to}"
             )));
         }
-        self.links.push(Link {
-            from,
-            to,
-            policy,
-            acked: 0,
-            breaker: CircuitBreaker::new(self.breaker_config.clone()),
-        });
+        let host = |node: NodeId| {
+            self.replicas
+                .get(&node)
+                .map(|r| r.host.as_str())
+                .ok_or_else(|| {
+                    PlatformError::Invalid(format!("no replica attached for node {node}"))
+                })
+        };
+        let target = format!("repl:{}->{}", host(from)?, host(to)?);
+        self.links.push(Link { from, to, policy });
+        self.outbox.add_peer(target);
         Ok(())
     }
 
@@ -720,12 +672,9 @@ impl Replicator {
         };
         let seq = emission.seq;
         replica.append(emission)?;
-        self.telemetry.incr("replication.emissions");
-        if let Some(metrics) = &self.metrics {
-            metrics.incr("replication.emissions");
-        }
+        self.outbox.count("emissions");
         self.ship_from(fed, node_id)?;
-        self.publish_gauges();
+        self.outbox.publish_gauges(self.lag());
         if let Some(span) = span {
             span.finish();
         }
@@ -745,7 +694,7 @@ impl Replicator {
             self.ship_link(fed, idx)?;
         }
         self.reconcile(fed)?;
-        self.publish_gauges();
+        self.outbox.publish_gauges(self.lag());
         Ok(())
     }
 
@@ -758,64 +707,57 @@ impl Replicator {
         Ok(())
     }
 
-    /// Ships the link's backlog (acked → origin head). Failures park
+    /// The emission `seq` of `link`'s origin, projected through the
+    /// link's share policy.
+    fn fetch(&self, idx: usize, seq: u64) -> Result<Emission, String> {
+        let from = self.links[idx].from;
+        let origin = self
+            .replicas
+            .get(&from)
+            .ok_or_else(|| format!("origin {from} down"))?;
+        let own = origin
+            .own_emission(seq)
+            .ok_or_else(|| format!("emission {seq} missing from node {from}"))?;
+        Ok(self.links[idx].policy.project(own))
+    }
+
+    /// Ships the link's backlog (shipped → origin head). Failures park
     /// the shipment in the DLQ and move on; chaos may drop, duplicate,
     /// or delay individual deliveries.
     fn ship_link(&mut self, fed: &mut Federation, idx: usize) -> Result<(), PlatformError> {
-        loop {
-            let (from, to) = (self.links[idx].from, self.links[idx].to);
-            let Some(origin) = self.replicas.get(&from) else {
-                return Ok(()); // sender down; nothing to ship
+        let (from, to) = (self.links[idx].from, self.links[idx].to);
+        // A down sender ships nothing. Parked or delivered, a claimed
+        // slot is accounted for: the DLQ or the receiver's gap
+        // detection owns it from here.
+        while let Some(head) = self.replicas.get(&from).map(Replica::head) {
+            let Some(seq) = self.outbox.next(idx, head) else {
+                break;
             };
-            let head = origin.head();
-            let seq = self.links[idx].acked + 1;
-            if seq > head {
-                return Ok(());
-            }
-            let emission = origin
-                .own_emission(seq)
-                .ok_or_else(|| {
-                    PlatformError::Invalid(format!("emission {seq} missing from node {from}"))
-                })?
-                .clone();
-            let shipped = self.links[idx].policy.project(&emission);
+            let shipped = self.fetch(idx, seq).map_err(PlatformError::Invalid)?;
             let span = self
                 .tracer
                 .as_ref()
                 .map(|t| t.start_with_context("replication.ship", shipped.trace));
-            let target = self.link_target(fed, idx)?;
             let verdict = if self.replicas.contains_key(&to) {
-                judge_transport(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.links[idx],
-                    &target,
-                )
+                self.outbox.judge(idx)
             } else {
                 Err(format!("replica {to} down"))
             };
             match verdict {
-                Err(error) => {
-                    self.park(Shipment { from, to, seq }, error);
-                }
+                Err(error) => self.outbox.park(idx, seq, error),
                 Ok(()) => {
-                    self.telemetry.incr("replication.shipped");
-                    if let Some(metrics) = &self.metrics {
-                        metrics.incr("replication.shipped");
-                    }
+                    self.outbox.count("shipped");
                     match self.chaos.as_mut().map(|c| c.decide()) {
                         Some(ChaosCall::Drop) => {
-                            self.telemetry.incr("replication.transport.dropped");
+                            self.outbox.count("transport.dropped");
                         }
                         Some(ChaosCall::Duplicate) => {
-                            self.telemetry.incr("replication.transport.duplicated");
+                            self.outbox.count("transport.duplicated");
                             self.deliver(fed, idx, shipped.clone())?;
                             self.deliver(fed, idx, shipped)?;
                         }
                         Some(ChaosCall::Reorder) => {
-                            self.telemetry.incr("replication.transport.reordered");
+                            self.outbox.count("transport.reordered");
                             self.delayed.push((idx, shipped));
                         }
                         Some(ChaosCall::Deliver) | None => {
@@ -824,13 +766,11 @@ impl Replicator {
                     }
                 }
             }
-            // Parked or delivered, the slot is accounted for; the DLQ
-            // or the receiver's gap detection owns it from here.
-            self.links[idx].acked = seq;
             if let Some(span) = span {
                 span.finish();
             }
         }
+        Ok(())
     }
 
     /// Applies one delivered emission at the link's receiver:
@@ -842,43 +782,32 @@ impl Replicator {
         idx: usize,
         emission: Emission,
     ) -> Result<(), PlatformError> {
-        let (from, to) = (self.links[idx].from, self.links[idx].to);
+        let to = self.links[idx].to;
         let Some(receiver) = self.replicas.get(&to) else {
             // A delayed delivery can land after the replica died.
-            self.park(
-                Shipment {
-                    from,
-                    to,
-                    seq: emission.seq,
-                },
-                format!("replica {to} down"),
-            );
+            self.outbox
+                .park(idx, emission.seq, format!("replica {to} down"));
             return Ok(());
         };
         let cursor = receiver.cursor(&emission.origin.host);
         if emission.seq <= cursor.seq {
-            self.telemetry.incr("replication.duplicates");
+            self.outbox.count("duplicates");
             return Ok(());
         }
         if emission.epoch <= cursor.epoch {
-            self.telemetry.incr("replication.stale");
+            self.outbox.count("stale");
             return Ok(());
         }
         if emission.seq > cursor.seq + 1 {
             // Sequence gap: pull the missing range from the origin's
-            // journal (we are mid-delivery, so the pipe is open).
-            self.telemetry.incr("replication.catchups");
-            if let Some(metrics) = &self.metrics {
-                metrics.incr("replication.catchups");
-            }
-            let missing: Vec<Emission> = {
-                let Some(origin) = self.replicas.get(&from) else {
-                    return Ok(()); // origin down; a later pump repairs
-                };
-                (cursor.seq + 1..emission.seq)
-                    .filter_map(|s| origin.own_emission(s))
-                    .map(|e| self.links[idx].policy.project(e))
-                    .collect()
+            // journal (we are mid-delivery, so the pipe is open); with
+            // the origin down, a later pump repairs.
+            self.outbox.count("catchups");
+            let Ok(missing) = (cursor.seq + 1..emission.seq)
+                .map(|s| self.fetch(idx, s))
+                .collect::<Result<Vec<_>, _>>()
+            else {
+                return Ok(());
             };
             for pulled in missing {
                 self.apply_one(fed, to, pulled)?;
@@ -930,10 +859,7 @@ impl Replicator {
             .get_mut(&to)
             .ok_or_else(|| PlatformError::NotFound(format!("replica {to}")))?;
         replica.append(emission)?;
-        self.telemetry.incr("replication.applied");
-        if let Some(metrics) = &self.metrics {
-            metrics.incr("replication.applied");
-        }
+        self.outbox.count("applied");
         if let Some(span) = span {
             span.finish();
         }
@@ -953,33 +879,17 @@ impl Replicator {
                 else {
                     break;
                 };
-                let head = origin.head();
                 let cursor = receiver.cursor(&origin.host);
-                if cursor.seq >= head {
+                if cursor.seq >= origin.head() {
                     break;
                 }
-                let target = self.link_target(fed, idx)?;
-                if judge_transport(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.links[idx],
-                    &target,
-                )
-                .is_err()
-                {
+                if self.outbox.judge(idx).is_err() {
                     break; // partitioned; a later pump retries
                 }
-                let origin = self.replicas.get(&from).expect("checked above");
-                let Some(next) = origin.own_emission(cursor.seq + 1) else {
+                let Ok(pulled) = self.fetch(idx, cursor.seq + 1) else {
                     break;
                 };
-                let pulled = self.links[idx].policy.project(next);
-                self.telemetry.incr("replication.catchups");
-                if let Some(metrics) = &self.metrics {
-                    metrics.incr("replication.catchups");
-                }
+                self.outbox.count("catchups");
                 self.apply_one(fed, to, pulled)?;
             }
         }
@@ -989,78 +899,28 @@ impl Replicator {
     /// Replays the shipment dead-letter queue; still-failing shipments
     /// are re-parked until [`REPLICATION_MAX_ATTEMPTS`] exhausts them.
     pub fn redeliver(&mut self, fed: &mut Federation) -> Result<ReplayReport, PlatformError> {
-        let mut dlq = std::mem::replace(
-            &mut self.dlq,
-            DeadLetterQueue::new(REPLICATION_MAX_ATTEMPTS),
-        );
         let mut failure: Option<PlatformError> = None;
-        let report = dlq.replay(|shipment| {
-            let idx = self
-                .links
-                .iter()
-                .position(|l| l.from == shipment.from && l.to == shipment.to)
-                .ok_or_else(|| "link removed".to_string())?;
-            if !self.replicas.contains_key(&shipment.to) {
-                return Err(format!("replica {} down", shipment.to));
-            }
-            let target = match self.link_target(fed, idx) {
-                Ok(target) => target,
-                Err(e) => {
-                    failure = Some(e);
-                    return Err("internal error".into());
+        let report = Outbox::replay(
+            self,
+            |r| &mut r.outbox,
+            |r, idx, seq| {
+                let to = r.links[idx].to;
+                if !r.replicas.contains_key(&to) {
+                    return Err(format!("replica {to} down"));
                 }
-            };
-            judge_transport(
-                self.plan.as_ref(),
-                &self.retry,
-                &mut self.rng,
-                &self.telemetry,
-                &mut self.links[idx],
-                &target,
-            )?;
-            let emission = {
-                let origin = self
-                    .replicas
-                    .get(&shipment.from)
-                    .ok_or_else(|| format!("origin {} down", shipment.from))?;
-                let own = origin
-                    .own_emission(shipment.seq)
-                    .ok_or_else(|| format!("emission {} missing", shipment.seq))?;
-                self.links[idx].policy.project(own)
-            };
-            if let Err(e) = self.deliver(fed, idx, emission) {
-                failure = Some(e);
-                return Err("internal error".into());
-            }
-            Ok(())
-        });
-        self.dlq = dlq;
+                r.outbox.judge(idx)?;
+                let emission = r.fetch(idx, seq)?;
+                r.deliver(fed, idx, emission).map_err(|e| {
+                    failure = Some(e);
+                    "internal error".to_string()
+                })
+            },
+        );
         if let Some(e) = failure {
             return Err(e);
         }
-        self.telemetry
-            .add("replication.redelivered", report.replayed as u64);
-        self.telemetry
-            .set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
-        self.publish_gauges();
+        self.outbox.publish_gauges(self.lag());
         Ok(report)
-    }
-
-    fn link_target(&self, fed: &Federation, idx: usize) -> Result<String, PlatformError> {
-        let link = &self.links[idx];
-        Ok(format!(
-            "repl:{}->{}",
-            fed.node(link.from)?.host(),
-            fed.node(link.to)?.host()
-        ))
-    }
-
-    fn park(&mut self, shipment: Shipment, error: String) {
-        self.telemetry.incr("replication.parked");
-        let now = self.plan.as_ref().map(|p| p.clock().now_ms()).unwrap_or(0);
-        self.dlq.push(shipment, error, now);
-        self.telemetry
-            .set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
     }
 
     /// Maximum replication lag over all links: origin head sequence
@@ -1086,7 +946,7 @@ impl Replicator {
     /// Whether every link is fully applied with nothing in flight or
     /// parked.
     pub fn converged(&self) -> bool {
-        self.lag() == 0 && self.delayed.is_empty() && self.dlq.depth() == 0
+        self.lag() == 0 && self.delayed.is_empty() && self.outbox.depth() == 0
     }
 
     /// A node's own emission log, in sequence order — what a
@@ -1114,6 +974,7 @@ impl Replicator {
             .ok_or_else(|| PlatformError::NotFound(format!("replica {node}")))?;
         Ok(replica
             .journal
+            .entries
             .iter()
             .filter(|e| e.origin.host != replica.host)
             .cloned()
@@ -1122,40 +983,31 @@ impl Replicator {
 
     /// Parked shipments awaiting [`Replicator::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.dlq.depth()
+        self.outbox.depth()
     }
 
     /// Shipments abandoned after [`REPLICATION_MAX_ATTEMPTS`].
     pub fn exhausted(&self) -> usize {
-        self.dlq.exhausted().len()
+        self.outbox.exhausted()
     }
 
     /// Breaker state of the link `from → to`, if it exists.
     pub fn breaker_state(&self, from: NodeId, to: NodeId) -> Option<BreakerState> {
         self.links
             .iter()
-            .find(|l| l.from == from && l.to == to)
-            .map(|l| l.breaker.state())
+            .position(|l| l.from == from && l.to == to)
+            .map(|idx| self.outbox.breaker_state(idx))
     }
 
     /// Point-in-time counters for the `/ops` degradation verdict.
     pub fn ops(&self) -> ReplicationOps {
         ReplicationOps {
             lag: self.lag(),
-            dlq_depth: self.dlq.depth(),
-            parked: self.telemetry.counter("replication.parked"),
-            redelivered: self.telemetry.counter("replication.redelivered"),
-            emissions: self.telemetry.counter("replication.emissions"),
-            applied: self.telemetry.counter("replication.applied"),
-        }
-    }
-
-    fn publish_gauges(&self) {
-        let lag = self.lag();
-        self.telemetry.set_gauge("replication.lag", lag);
-        if let Some(metrics) = &self.metrics {
-            metrics.set_gauge("replication.lag", lag);
-            metrics.set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
+            dlq_depth: self.outbox.depth(),
+            parked: self.outbox.counter("parked"),
+            redelivered: self.outbox.counter("redelivered"),
+            emissions: self.outbox.counter("emissions"),
+            applied: self.outbox.counter("applied"),
         }
     }
 }
@@ -1170,9 +1022,7 @@ impl Replicator {
 /// emissions and downstream idempotent apply absorbs the overlap.
 pub struct EmissionOutbox {
     origin: Acct,
-    storage: Box<dyn Storage>,
-    emissions: Vec<Emission>,
-    next_seq: u64,
+    journal: EmissionJournal,
     /// Sequence number up to which a consumer has drained.
     consumed: u64,
 }
@@ -1180,29 +1030,17 @@ pub struct EmissionOutbox {
 impl EmissionOutbox {
     /// Opens (or creates) an outbox journal on `storage`, recovering
     /// the emission sequence exactly.
-    pub fn open(
-        origin: Acct,
-        mut storage: Box<dyn Storage>,
-    ) -> Result<EmissionOutbox, PlatformError> {
-        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
-            storage.read(EMISSIONS_FILE)?
-        } else {
-            storage.create(EMISSIONS_FILE)?;
-            Vec::new()
-        };
-        let (emissions, clean_len) = scan_emissions(&bytes)?;
-        if clean_len < bytes.len() {
-            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
-            storage.flush(EMISSIONS_FILE)?;
-        }
-        let next_seq = emissions.last().map(|e| e.seq + 1).unwrap_or(1);
+    pub fn open(origin: Acct, storage: Box<dyn Storage>) -> Result<EmissionOutbox, PlatformError> {
         Ok(EmissionOutbox {
             origin,
-            storage,
-            emissions,
-            next_seq,
+            journal: EmissionJournal::open(storage)?,
             consumed: 0,
         })
+    }
+
+    /// Sequence number of the newest journaled emission (0 when empty).
+    fn head(&self) -> u64 {
+        self.journal.entries.last().map_or(0, |e| e.seq)
     }
 
     /// Records one commit's delta as an emission (journaled durably),
@@ -1216,38 +1054,35 @@ impl EmissionOutbox {
         removals: Vec<Triple>,
         trace: Option<TraceContext>,
     ) -> Result<u64, PlatformError> {
-        let emission = Emission {
+        let seq = self.head() + 1;
+        self.journal.append(Emission {
             origin: self.origin.clone(),
-            seq: self.next_seq,
+            seq,
             epoch,
             album: album.map(str::to_string),
             additions,
             removals,
             trace,
-        };
-        self.storage
-            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
-        self.storage.flush(EMISSIONS_FILE)?;
-        self.next_seq += 1;
-        self.emissions.push(emission);
-        Ok(self.next_seq - 1)
+        })?;
+        Ok(seq)
     }
 
     /// Emissions not yet handed to a consumer.
     pub fn lag(&self) -> u64 {
-        (self.next_seq - 1).saturating_sub(self.consumed)
+        self.head().saturating_sub(self.consumed)
     }
 
     /// Hands every undrained emission to the consumer, advancing the
     /// drain position.
     pub fn drain(&mut self) -> Vec<Emission> {
         let pending: Vec<Emission> = self
-            .emissions
+            .journal
+            .entries
             .iter()
             .filter(|e| e.seq > self.consumed)
             .cloned()
             .collect();
-        self.consumed = self.next_seq - 1;
+        self.consumed = self.head();
         pending
     }
 
@@ -1258,12 +1093,12 @@ impl EmissionOutbox {
 
     /// Total emissions journaled (including drained ones).
     pub fn len(&self) -> usize {
-        self.emissions.len()
+        self.journal.entries.len()
     }
 
     /// Whether the journal is empty.
     pub fn is_empty(&self) -> bool {
-        self.emissions.is_empty()
+        self.journal.entries.is_empty()
     }
 }
 

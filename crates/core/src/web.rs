@@ -577,7 +577,7 @@ fn render_picture(platform: &Platform, pid: i64) -> Option<String> {
 }
 
 /// The `/subscriptions` page: the registered standing albums and, per
-/// SparqlPuSH subscriber, outbox head vs shipped vs applied cursor
+/// SparqlPuSH subscriber, journal head vs shipped vs applied cursor
 /// plus breaker state — enough to see at a glance who is lagging and
 /// why. Plain text, like `/ops`.
 fn render_subscriptions(platform: &Platform) -> String {

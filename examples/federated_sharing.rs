@@ -1,13 +1,16 @@
 //! The §6 future-work architecture, running: two home-network nodes,
 //! WebFinger identities, FOAF profile exchange, PubSubHubbub
-//! subscriptions, SparqlPuSH queries, ActivityStreams timelines and a
-//! Salmon reply.
+//! subscriptions, a SparqlPuSH live album, ActivityStreams timelines
+//! and a Salmon reply.
 //!
 //! ```sh
 //! cargo run --example federated_sharing
 //! ```
 
+use lodify::context::Gazetteer;
+use lodify::core::albums::AlbumSpec;
 use lodify::core::federation::{Federation, Notification, PhotoFrame};
+use lodify::rdf::{ns, Literal, Term, Triple};
 
 fn main() {
     let mut fed = Federation::new();
@@ -36,34 +39,61 @@ fn main() {
         .expect("subscribe");
     println!("oscar now follows walter (FOAF profile imported)");
 
-    // Oscar also registers a SparqlPuSH query on Walter's node.
-    fed.sparql_subscribe(
-        casa_oscar,
+    // Walter's node knows the Mole as LOD reference data; Oscar
+    // subscribes to a SparqlPuSH live album of pictures taken near it.
+    let gaz = Gazetteer::global();
+    let mole = gaz
+        .poi("Mole_Antonelliana")
+        .expect("gazetteer POI")
+        .point(gaz);
+    let monument = "http://dbpedia.org/resource/Mole_Antonelliana";
+    fed.import_reference(
         casa_walter,
-        "SELECT ?m ?t WHERE { ?m a sioct:MicroblogPost . ?m rdfs:label ?t . }",
+        &[
+            Triple::spo(
+                monument,
+                ns::iri::rdfs_label().as_str(),
+                Term::Literal(Literal::lang("Mole Antonelliana", "it").expect("lang tag")),
+            ),
+            Triple::spo(
+                monument,
+                ns::iri::geo_geometry().as_str(),
+                Term::Literal(mole.to_literal()),
+            ),
+        ],
     )
-    .expect("sparql subscription");
+    .expect("reference data");
+    let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 1.0);
+    let (album, sub) = fed
+        .live_subscribe(casa_oscar, casa_walter, &spec)
+        .expect("live subscription");
 
-    // Walter publishes from his holiday.
+    // Walter publishes a picture from his holiday, next to the Mole.
     let (media, notifications) = fed
-        .publish(&walter, "Tramonto dalla terrazza", 1_320_800_000)
+        .publish_picture(
+            &walter,
+            "Tramonto dalla terrazza",
+            mole.offset_km(0.05, 0.0),
+            1_320_800_000,
+        )
         .expect("publish");
     println!("\nwalter published {}", media.as_str());
-    for n in &notifications {
-        match n {
-            Notification::Activity { to, activity } => {
-                println!(
-                    "  hub → node {to}: {:?} {:?}",
-                    activity.verb, activity.summary
-                )
-            }
-            Notification::SparqlRows { to, rows } => {
-                println!("  sparqlPuSH → node {to}: {} new row(s)", rows.len());
-                for row in rows {
-                    println!("      {row}");
-                }
-            }
-        }
+    for Notification::Activity { to, activity } in &notifications {
+        println!(
+            "  hub → node {to}: {:?} {:?}",
+            activity.verb, activity.summary
+        );
+    }
+    let pushed = fed
+        .live_subscriber(casa_walter, sub)
+        .expect("subscriber up")
+        .links();
+    println!(
+        "  sparqlPuSH → node {casa_oscar}: live album {album} now holds {} picture(s)",
+        pushed.len()
+    );
+    for link in &pushed {
+        println!("      {link}");
     }
 
     // Oscar replies — the Salmon comment swims upstream to Walter's node.
