@@ -19,7 +19,16 @@
 use lodify_bench::{black_box, Criterion};
 use lodify_bench::{criterion, f3, header, platform, row, smoke, time_once};
 use lodify_core::albums::{AlbumCache, AlbumSpec};
-use lodify_sparql::{execute_with_report, EvalOptions};
+use lodify_sparql::{evaluate_planned, parse, plan_query, EvalOptions, EvalReport, QueryResults};
+use lodify_store::Store;
+
+/// The one query path with explicit evaluator options: parse, plan,
+/// evaluate — `lodify_sparql::execute` plus the parallel report.
+fn run(store: &Store, query: &str, options: EvalOptions) -> (QueryResults, EvalReport) {
+    let parsed = parse(query).unwrap();
+    let plan = plan_query(store, &parsed, None);
+    evaluate_planned(store, &parsed, options, &plan).unwrap()
+}
 
 fn main() {
     header(
@@ -67,7 +76,7 @@ fn main() {
                 spawn_threads: false,
                 ..EvalOptions::parallel(workers)
             };
-            let (results, report) = execute_with_report(p.store(), query, inline).unwrap();
+            let (results, report) = run(p.store(), query, inline);
             assert_eq!(
                 results.to_table(),
                 sequential.to_table(),
@@ -80,8 +89,7 @@ fn main() {
             // Threaded wall-clock on this host (may show no gain on
             // single-core CI; the modeled column is the honest number).
             let threaded = EvalOptions::parallel(workers);
-            let ((wall_results, _), t_wall) =
-                time_once(|| execute_with_report(p.store(), query, threaded).unwrap());
+            let ((wall_results, _), t_wall) = time_once(|| run(p.store(), query, threaded));
             assert_eq!(wall_results.to_table(), sequential.to_table());
             row(&[
                 (*name).into(),
@@ -153,10 +161,10 @@ fn main() {
     cache.view(p.store(), &q1).unwrap();
     let mut c: Criterion = criterion();
     c.bench_function("e16/q1_sequential_2k", |b| {
-        b.iter(|| lodify_sparql::execute_with(p.store(), black_box(&q1_text), seq).unwrap())
+        b.iter(|| run(p.store(), black_box(&q1_text), seq))
     });
     c.bench_function("e16/q1_parallel4_2k", |b| {
-        b.iter(|| lodify_sparql::execute_with(p.store(), black_box(&q1_text), par4).unwrap())
+        b.iter(|| run(p.store(), black_box(&q1_text), par4))
     });
     c.bench_function("e16/q1_cached_view_2k", |b| {
         b.iter(|| cache.view(p.store(), black_box(&q1)).unwrap())

@@ -926,8 +926,11 @@ impl Platform {
     /// fingerprint-keyed [`lodify_sparql::PlanCache`]: a full hit skips
     /// parse *and* plan, a plan-only hit (same fingerprint, different
     /// literals) reparses but reuses the cached join order, and a miss
-    /// compiles a fresh cost-based [`lodify_sparql::Plan`] calibrated
-    /// by the cardinality registry and caches it. After every planned
+    /// compiles a fresh [`lodify_sparql::Plan`] calibrated by the
+    /// cardinality registry and caches it. The path is the same whether
+    /// or not observability is on: with it off, metric and span calls
+    /// are no-ops, but the plan cache and calibration still work (the
+    /// slow-query log is not switched off). After every planned
     /// execution the worst estimated-vs-actual operator drift is fed
     /// back; past the cache's threshold the entry is invalidated so the
     /// next request replans against current statistics.
@@ -944,10 +947,6 @@ impl Platform {
     /// ([`Self::cardinality`]), and the `sparql.query` histogram tags
     /// its bucket with the query's trace id as an exemplar.
     pub fn query(&self, sparql: &str) -> Result<lodify_sparql::QueryResults, PlatformError> {
-        if !self.obs.is_enabled() {
-            self.plan_cache.note_bypass();
-            return Ok(lodify_sparql::execute(self.store.store(), sparql)?);
-        }
         let started = self.obs.metrics().now_micros();
         let root = self.obs.tracer().start("sparql");
 
@@ -1105,14 +1104,11 @@ impl Platform {
     /// WAL recovery replays `Store::insert`/`remove`, store epochs —
     /// and with them cache validity — repopulate correctly on reboot.
     ///
-    /// With observability enabled, cold/stale solves run through
-    /// [`Self::query`], so album misses show up in the `sparql.parse`
-    /// / `sparql.eval` histograms and the slow-query log like any
-    /// other query.
+    /// Cold/stale solves run through [`Self::query`], so album misses
+    /// share its plan cache and show up in the `sparql.parse` /
+    /// `sparql.eval` histograms and the slow-query log like any other
+    /// query.
     pub fn view_album(&self, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
-        if !self.obs.is_enabled() {
-            return self.album_cache.view(self.store.store(), spec);
-        }
         let before = self.album_cache.stats();
         let span = self.obs.tracer().start("album.view");
         let out = self

@@ -1,7 +1,7 @@
 //! Fingerprint-keyed plan cache with drift-based invalidation.
 //!
 //! Planning a query ([`plan_query`](crate::plan::plan_query)) costs a
-//! group-tree walk plus a subset DP per BGP run — cheap, but paid on
+//! group-tree walk plus a greedy search per BGP run — cheap, but paid on
 //! every request once the platform serves the same album queries
 //! thousands of times. The [`PlanCache`] memoizes the expensive prefix
 //! of the pipeline, keyed by [`fingerprint`](crate::fingerprint):
@@ -69,7 +69,9 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Queries that skipped the cache entirely (observability off).
+    /// Queries that skipped the cache. Every platform query goes
+    /// through it, so this always reads 0; the field stays for
+    /// readers that check it.
     pub bypasses: u64,
     /// Entries dropped because execution drift crossed the threshold.
     pub invalidations: u64,
@@ -100,7 +102,6 @@ struct Inner {
     entries: BTreeMap<String, Entry>,
     hits: u64,
     misses: u64,
-    bypasses: u64,
     invalidations: u64,
 }
 
@@ -144,7 +145,6 @@ impl PlanCache {
                 entries: BTreeMap::new(),
                 hits: 0,
                 misses: 0,
-                bypasses: 0,
                 invalidations: 0,
             })),
             capacity: capacity.max(1),
@@ -209,11 +209,6 @@ impl PlanCache {
         }
     }
 
-    /// Counts a query that skipped the cache (observability disabled).
-    pub fn note_bypass(&self) {
-        lock(&self.inner).bypasses += 1;
-    }
-
     /// Reports the worst estimated-vs-actual ratio of a planned
     /// execution. Crossing the threshold drops the entry so the next
     /// request replans against current statistics; returns whether the
@@ -242,7 +237,7 @@ impl PlanCache {
         PlanCacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            bypasses: inner.bypasses,
+            bypasses: 0,
             invalidations: inner.invalidations,
             entries: inner.entries.len(),
         }
@@ -321,13 +316,5 @@ mod tests {
             assert!(cache.stats().entries <= 2, "insert {i} overflowed");
         }
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn bypasses_are_counted() {
-        let cache = PlanCache::new();
-        cache.note_bypass();
-        cache.note_bypass();
-        assert_eq!(cache.stats().bypasses, 2);
     }
 }

@@ -68,10 +68,13 @@ pub fn parse(query: &str) -> Result<ast::Query, SparqlError> {
     parser::parse_query(query)
 }
 
-/// Parses and evaluates a query against a store.
+/// Parses, plans ([`plan_query`], uncalibrated) and evaluates
+/// ([`evaluate_planned`], sequential) a query against a store — the
+/// one query path, spelled out for callers without a plan cache.
 pub fn execute(store: &Store, query: &str) -> Result<QueryResults, SparqlError> {
     let parsed = parse(query)?;
-    eval::evaluate(store, &parsed)
+    let plan = plan_query(store, &parsed, None);
+    Ok(evaluate_planned(store, &parsed, EvalOptions::default(), &plan)?.0)
 }
 
 /// Parses and evaluates a query against a pinned MVCC snapshot,
@@ -122,25 +125,7 @@ pub fn execute_snapshot(
 /// Parses and evaluates an `ASK` (or any) query, reducing to a boolean:
 /// true iff at least one solution exists.
 pub fn ask(store: &Store, query: &str) -> Result<bool, SparqlError> {
-    let parsed = parse(query)?;
-    Ok(!eval::evaluate(store, &parsed)?.is_empty())
-}
-
-/// Renders the evaluator's plan for a query: the greedy BGP join order
-/// with cardinality estimates, filters, and compound operators.
-pub fn explain(store: &Store, query: &str) -> Result<String, SparqlError> {
-    let parsed = parse(query)?;
-    Ok(eval::explain(store, &parsed))
-}
-
-/// Parses and evaluates with explicit evaluator options (ablations).
-pub fn execute_with(
-    store: &Store,
-    query: &str,
-    options: eval::EvalOptions,
-) -> Result<QueryResults, SparqlError> {
-    let parsed = parse(query)?;
-    eval::evaluate_with(store, &parsed, options)
+    Ok(!execute(store, query)?.is_empty())
 }
 
 /// Normalizes a query into a fingerprint for slow-query aggregation:
@@ -184,19 +169,6 @@ pub fn fingerprint(query: &str) -> String {
         }
     }
     out
-}
-
-/// Parses and evaluates with explicit options, also returning the
-/// parallel-execution report (sections, partition balance, busy vs
-/// critical-path time). Benches use this to measure speedup without
-/// needing as many physical cores as configured workers.
-pub fn execute_with_report(
-    store: &Store,
-    query: &str,
-    options: eval::EvalOptions,
-) -> Result<(QueryResults, eval::EvalReport), SparqlError> {
-    let parsed = parse(query)?;
-    eval::evaluate_with_report(store, &parsed, options)
 }
 
 #[cfg(test)]

@@ -1,38 +1,35 @@
-//! Cost-based join planning over basic graph patterns.
+//! Join planning over basic graph patterns: the only join-order
+//! decision the engine makes.
 //!
-//! PR 3's evaluator orders each BGP run greedily by the store's uniform
-//! selectivity heuristic ([`lodify_store::stats::Stats::estimate`]).
-//! That heuristic divides a predicate's count by the store-wide number
-//! of distinct subjects/objects, so it is blind to **skew**: a pattern
-//! whose constant object matches half the store and one whose constant
-//! object matches fifty triples get the same estimate. This module adds
-//! the missing cost model:
+//! Every query runs parse → [`plan_query`] → evaluate
+//! ([`evaluate_planned`](crate::eval::evaluate_planned)); the
+//! evaluator never orders joins itself. Two pieces:
 //!
 //! 1. [`Estimator`] is the *single* cardinality probe API. It owns the
 //!    only call to the raw statistics heuristic (CI greps for strays),
 //!    the exact index probe ([`Estimator::exact_count`]), and the
 //!    calibration layer that scales heuristic estimates by the
-//!    observed [`misestimate`](crate::profile::PredicateStats::misestimate) ratio accumulated in a
-//!    [`CardinalityProfile`]. The evaluator's greedy ordering and
-//!    parallel split selection route through the same probes, so
-//!    planner and executor can never disagree about an estimate.
+//!    observed [`misestimate`](crate::profile::PredicateStats::misestimate)
+//!    ratio accumulated in a [`CardinalityProfile`]. The parallel split
+//!    selection probes through the same API.
 //! 2. [`plan_query`] walks the query's group tree exactly like the
-//!    evaluator will and runs a join-order search per BGP run: exact
-//!    dynamic programming over subsets for runs of up to
-//!    [`MAX_DP_PATTERNS`] patterns, the calibrated greedy beyond that.
-//!    The result is an explainable [`Plan`] whose per-step estimates
-//!    flow into the executed
+//!    evaluator will and orders each BGP run greedily: repeatedly join
+//!    the pattern with the smallest estimate given the variables bound
+//!    so far. An *opening* pattern (no variable bound yet) is estimated
+//!    by its exact index count — skew-proof, and computed once per
+//!    pattern per run — a probing pattern by the calibrated heuristic.
+//!    The result is an explainable [`Plan`] ([`Plan::render`]) whose
+//!    per-step estimates flow into the executed
 //!    [`EvalProfile`](crate::profile::EvalProfile), closing the
-//!    estimated-vs-actual loop.
+//!    estimated-vs-actual loop. When the evaluator meets a run the
+//!    plan does not cover (a run key that only arises at run time), it
+//!    asks the same search to order it.
 //!
-//! The cost model treats a step estimate as the operator's output
-//! cardinality: an *opening* pattern (no previously bound variable)
-//! contributes its exact index count, a probing pattern multiplies the
-//! running row count by its per-binding fan-out estimate. Plan cost is
-//! the sum of intermediate result sizes — the classic C_out metric.
-//! Join order only ever changes *how fast* a BGP evaluates, never its
-//! result set; the property corpus asserts planned, greedy, and naive
-//! executions byte-identical.
+//! [`Plan::syntactic`] is the naive reference: every run in the order
+//! the author wrote it. Join order only ever changes *how fast* a BGP
+//! evaluates, never its result set; the property corpus asserts
+//! syntactic, planned and calibrated-planned executions
+//! byte-identical.
 
 use std::collections::{HashMap, HashSet};
 
@@ -41,12 +38,6 @@ use lodify_store::{Store, TermId};
 
 use crate::ast::{Element, Group, Query, TermOrVar, TriplePattern};
 use crate::profile::CardinalityProfile;
-
-/// Maximum run length planned with exact dynamic programming over
-/// subsets; longer runs fall back to the calibrated greedy. 12 patterns
-/// is 4096 subsets — microseconds of planning, far past any query in
-/// the paper workload (Q1–Q3 join 3–5 patterns).
-pub const MAX_DP_PATTERNS: usize = 12;
 
 /// Calibration clamp: observed misestimate ratios scale heuristic
 /// estimates by at most this factor in either direction, so one wild
@@ -57,8 +48,8 @@ const CALIBRATION_CLAMP: f64 = 32.0;
 /// trusted for calibration.
 const CALIBRATION_MIN_OBSERVATIONS: u64 = 2;
 
-/// The single cardinality probe API shared by the planner, the
-/// evaluator's greedy ordering, and the parallel split selection.
+/// The single cardinality probe API shared by the planner and the
+/// evaluator's parallel split selection.
 ///
 /// Three probes, strongest first:
 ///
@@ -68,8 +59,8 @@ const CALIBRATION_MIN_OBSERVATIONS: u64 = 2;
 /// * calibrated heuristic — the uniform heuristic scaled by the
 ///   predicate's observed actual/estimated ratio from a
 ///   [`CardinalityProfile`], once enough executions were observed.
-/// * [`Estimator::heuristic`] — PR 3's cold-start uniform model,
-///   and the **only** caller of the raw
+/// * [`Estimator::heuristic`] — the cold-start uniform model, and
+///   the **only** caller of the raw
 ///   [`Stats::estimate`](lodify_store::stats::Stats::estimate) entry
 ///   point outside the store crate (CI lints for strays).
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +71,8 @@ pub struct Estimator<'s> {
 
 impl<'s> Estimator<'s> {
     /// An uncalibrated estimator: exact probes plus the cold-start
-    /// heuristic. This is what the evaluator uses when no profile is
-    /// supplied — byte-identical behaviour to the pre-planner engine.
+    /// heuristic — what [`plan_query`] uses when no profile is
+    /// supplied.
     pub fn new(store: &'s Store) -> Estimator<'s> {
         Estimator {
             store,
@@ -101,7 +92,7 @@ impl<'s> Estimator<'s> {
         }
     }
 
-    /// PR 3's uniform selectivity heuristic, verbatim: predicate count
+    /// The uniform selectivity heuristic: predicate count
     /// shrunk by bound subject/object positions, zero for a constant
     /// predicate missing from the dictionary. `is_bound` answers
     /// whether a variable is already bound at this point of the plan.
@@ -203,6 +194,15 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
+    /// The author's order for a run of `n` patterns, without estimates.
+    fn syntactic(n: usize) -> RunPlan {
+        RunPlan {
+            order: (0..n).collect(),
+            estimates: vec![0.0; n],
+            est_cost: 0.0,
+        }
+    }
+
     /// Whether this run plan is a valid permutation for a run of `n`
     /// patterns — the evaluator's guard before applying a cached plan
     /// to a freshly parsed query.
@@ -231,9 +231,73 @@ pub struct Plan {
     epoch: u64,
     runs: HashMap<String, RunPlan>,
     text: String,
+    /// Every run keeps the author's pattern order, including runs the
+    /// table misses at evaluation time ([`Plan::syntactic`]).
+    syntactic: bool,
 }
 
+/// How a plan orders one BGP run, given which variables are bound on
+/// entry.
+type RunOrder<'a> = dyn Fn(&[&TriplePattern], &dyn Fn(&str) -> bool) -> RunPlan + 'a;
+
 impl Plan {
+    /// The naive reference plan: every BGP run joins in the order the
+    /// author wrote it. It reads no store, so it carries no estimates
+    /// (every step's estimate is 0) and epoch 0. Tests and the
+    /// join-ordering experiments compare planned evaluation against it.
+    pub fn syntactic(query: &Query) -> Plan {
+        Plan::build(query, 0, true, &|run, _| RunPlan::syntactic(run.len()))
+    }
+
+    fn build(query: &Query, epoch: u64, syntactic: bool, order: &RunOrder<'_>) -> Plan {
+        let mut runs = HashMap::new();
+        let mut text = String::from(if syntactic {
+            "plan (syntactic order):\n"
+        } else {
+            "plan:\n"
+        });
+        plan_group(
+            order,
+            &query.where_clause,
+            &mut HashSet::new(),
+            1,
+            &mut runs,
+            &mut text,
+        );
+        if !query.order_by.is_empty() {
+            text.push_str(&format!("  sort: {} key(s)\n", query.order_by.len()));
+        }
+        if query.select.distinct {
+            text.push_str("  distinct\n");
+        }
+        if let Some(limit) = query.limit {
+            text.push_str(&format!("  limit {limit}\n"));
+        }
+        Plan {
+            plan_id: fnv1a_u64(fnv1a(text.as_bytes()), epoch),
+            epoch,
+            runs,
+            text,
+            syntactic,
+        }
+    }
+
+    /// Orders a run the plan's table does not cover — a run key that
+    /// only arises at evaluation time — with the same search the plan
+    /// was built with.
+    pub(crate) fn order_run(
+        &self,
+        estimator: &Estimator<'_>,
+        run: &[&TriplePattern],
+        is_bound: &dyn Fn(&str) -> bool,
+    ) -> RunPlan {
+        if self.syntactic {
+            RunPlan::syntactic(run.len())
+        } else {
+            greedy_order(estimator, run, is_bound)
+        }
+    }
+
     /// Stable plan id: an FNV-1a hash of the rendered plan and the
     /// planning epoch. Two plans with the same id made the same
     /// ordering decisions against the same data.
@@ -262,7 +326,8 @@ impl Plan {
     }
 
     /// The human-readable plan: one line per ordered step with its
-    /// cost estimate, nested by group structure.
+    /// cost estimate, nested by group structure, then the solution
+    /// modifiers (sort, distinct, limit).
     pub fn render(&self) -> &str {
         &self.text
     }
@@ -300,8 +365,8 @@ fn pattern_signature(p: &TriplePattern) -> String {
 /// already bound on entry. The planner and the evaluator compute this
 /// key with the same function at the same point (run entry), so a plan
 /// applies exactly when the evaluator faces the situation the planner
-/// modelled; any mismatch falls back to the greedy order, which is
-/// always correct.
+/// modelled; on a mismatch the evaluator asks the plan to order the
+/// run on the spot.
 pub fn run_key(run: &[&TriplePattern], is_bound: &dyn Fn(&str) -> bool) -> String {
     let mut key = String::new();
     for (i, p) in run.iter().enumerate() {
@@ -323,45 +388,28 @@ pub fn run_key(run: &[&TriplePattern], is_bound: &dyn Fn(&str) -> bool) -> Strin
 }
 
 /// Plans a parsed query against a store: walks the group tree exactly
-/// like the evaluator, runs the join-order search per BGP run, and
-/// returns the explainable [`Plan`]. Pass the platform's
-/// [`CardinalityProfile`] to calibrate heuristic estimates with
-/// observed fan-outs; `None` plans from index statistics alone.
+/// like the evaluator, orders each BGP run greedily, and returns the
+/// explainable [`Plan`]. Pass the platform's [`CardinalityProfile`] to
+/// calibrate heuristic estimates with observed fan-outs; `None` plans
+/// from index statistics alone.
 pub fn plan_query(store: &Store, query: &Query, calibration: Option<&CardinalityProfile>) -> Plan {
     let estimator = match calibration {
         Some(c) => Estimator::with_calibration(store, c),
         None => Estimator::new(store),
     };
-    let mut runs = HashMap::new();
-    let mut text = String::from("plan:\n");
-    let mut bound = HashSet::new();
-    plan_group(
-        &estimator,
-        &query.where_clause,
-        &mut bound,
-        1,
-        &mut runs,
-        &mut text,
-    );
-    let epoch = store.epoch();
-    let mut hash = fnv1a(text.as_bytes());
-    hash = fnv1a_u64(hash, epoch);
-    Plan {
-        plan_id: hash,
-        epoch,
-        runs,
-        text,
-    }
+    Plan::build(query, store.epoch(), false, &|run, is_bound| {
+        greedy_order(&estimator, run, is_bound)
+    })
 }
 
 /// Mirrors the evaluator's group walk: contiguous triple runs are
-/// planned with the current bound set, then bind their variables;
+/// ordered with the current bound set, then bind their variables;
 /// OPTIONAL / UNION branches and nested groups plan against a copy of
 /// the bound set and do **not** extend it afterwards (the evaluator's
 /// surely-bound tracking is equally conservative); subselects start
 /// from an empty scope.
 fn plan_group(
-    estimator: &Estimator<'_>,
+    order: &RunOrder<'_>,
     group: &Group,
     bound: &mut HashSet<String>,
     depth: usize,
@@ -388,7 +436,7 @@ fn plan_group(
                     }
                 }
                 let key = run_key(&run, &|v| bound.contains(v));
-                let run_plan = search_order(estimator, &run, bound);
+                let run_plan = order(&run, &|v| bound.contains(v));
                 for (k, (&idx, est)) in run_plan.order.iter().zip(&run_plan.estimates).enumerate() {
                     let kind = if k == 0 { "scan" } else { "join" };
                     text.push_str(&format!(
@@ -406,25 +454,25 @@ fn plan_group(
             }
             Element::Optional(g) => {
                 text.push_str(&format!("{pad}optional:\n"));
-                plan_group(estimator, g, &mut bound.clone(), depth + 1, runs, text);
+                plan_group(order, g, &mut bound.clone(), depth + 1, runs, text);
                 i += 1;
             }
             Element::Union(branches) => {
                 text.push_str(&format!("{pad}union ({} branches):\n", branches.len()));
                 for branch in branches {
-                    plan_group(estimator, branch, &mut bound.clone(), depth + 1, runs, text);
+                    plan_group(order, branch, &mut bound.clone(), depth + 1, runs, text);
                 }
                 i += 1;
             }
             Element::SubGroup(g) => {
                 text.push_str(&format!("{pad}group:\n"));
-                plan_group(estimator, g, &mut bound.clone(), depth + 1, runs, text);
+                plan_group(order, g, &mut bound.clone(), depth + 1, runs, text);
                 i += 1;
             }
             Element::SubSelect(q) => {
                 text.push_str(&format!("{pad}subselect:\n"));
                 plan_group(
-                    estimator,
+                    order,
                     &q.where_clause,
                     &mut HashSet::new(),
                     depth + 1,
@@ -446,150 +494,35 @@ fn plan_group(
     }
 }
 
-/// Join-order search for one BGP run: exact subset DP up to
-/// [`MAX_DP_PATTERNS`], calibrated greedy beyond. Both use the same
-/// [`Estimator::estimate`] probes, both are deterministic (strict-`<`
-/// improvement over ascending subset/index order breaks ties).
-fn search_order(
-    estimator: &Estimator<'_>,
-    run: &[&TriplePattern],
-    bound: &HashSet<String>,
-) -> RunPlan {
-    let n = run.len();
-    if n <= 1 {
-        let estimates = run
-            .iter()
-            .map(|p| estimator.estimate(p, &|v| bound.contains(v)))
-            .collect::<Vec<_>>();
-        let est_cost = estimates.iter().sum();
-        return RunPlan {
-            order: (0..n).collect(),
-            estimates,
-            est_cost,
-        };
-    }
-    if n <= MAX_DP_PATTERNS {
-        dp_order(estimator, run, bound)
-    } else {
-        greedy_order(estimator, run, bound)
-    }
-}
-
-/// One DP state: the best (cheapest) way to have joined the subset of
-/// patterns encoded by the state's index mask.
-#[derive(Clone, Copy)]
-struct DpState {
-    /// Sum of intermediate result sizes along the best order.
-    cost: f64,
-    /// Estimated rows after joining the subset along the best order.
-    rows: f64,
-    /// Bitmask over run-local variables bound by the subset.
-    varmask: u64,
-    /// Last pattern joined (index into the run) on the best order.
-    last: usize,
-    /// The estimate recorded for that last step.
-    est: f64,
-}
-
-fn dp_order(estimator: &Estimator<'_>, run: &[&TriplePattern], bound: &HashSet<String>) -> RunPlan {
-    let n = run.len();
-    // Run-local variables (not bound on entry) get small ids so bound
-    // sets inside the search are bitmasks, not string sets.
-    let mut var_ids: HashMap<&str, usize> = HashMap::new();
-    for p in run {
-        for v in p.vars() {
-            if !bound.contains(v) && !var_ids.contains_key(v) {
-                let id = var_ids.len();
-                var_ids.insert(v, id);
-            }
-        }
-    }
-    let var_bits: Vec<u64> = run
-        .iter()
-        .map(|p| {
-            p.vars()
-                .filter_map(|v| var_ids.get(v))
-                .fold(0u64, |m, &id| m | (1 << id))
-        })
-        .collect();
-    let step_estimate = |i: usize, varmask: u64| {
-        estimator.estimate(run[i], &|v: &str| {
-            bound.contains(v) || var_ids.get(v).is_some_and(|&id| varmask & (1 << id) != 0)
-        })
-    };
-
-    let full: usize = (1 << n) - 1;
-    let mut best: Vec<Option<DpState>> = vec![None; full + 1];
-    best[0] = Some(DpState {
-        cost: 0.0,
-        rows: 1.0,
-        varmask: 0,
-        last: usize::MAX,
-        est: 0.0,
-    });
-    for mask in 1..=full {
-        for (i, &bits) in var_bits.iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            let prev_mask = mask & !(1 << i);
-            let Some(prev) = best[prev_mask] else {
-                continue;
-            };
-            let est = step_estimate(i, prev.varmask);
-            let rows = prev.rows * est.max(0.0);
-            let cost = prev.cost + rows;
-            let better = match &best[mask] {
-                None => true,
-                Some(cur) => cost < cur.cost,
-            };
-            if better {
-                best[mask] = Some(DpState {
-                    cost,
-                    rows,
-                    varmask: prev.varmask | bits,
-                    last: i,
-                    est,
-                });
-            }
-        }
-    }
-
-    // Reconstruct the chosen order back-to-front along the `last` chain.
-    let mut order = vec![0usize; n];
-    let mut estimates = vec![0.0f64; n];
-    let mut mask = full;
-    let final_state = best[full].expect("full mask reachable");
-    for k in (0..n).rev() {
-        let state = best[mask].expect("prefix reachable");
-        order[k] = state.last;
-        estimates[k] = state.est;
-        mask &= !(1 << state.last);
-    }
-    RunPlan {
-        order,
-        estimates,
-        est_cost: final_state.cost,
-    }
-}
-
+/// Greedy join order for one BGP run: repeatedly join the remaining
+/// pattern with the smallest [`Estimator::estimate`] given the
+/// variables bound so far (strict `<` over syntactic order breaks
+/// ties, so the search is deterministic). An opening pattern's exact
+/// index count cannot change until one of its variables binds, so it
+/// is probed at most once per run.
 fn greedy_order(
     estimator: &Estimator<'_>,
     run: &[&TriplePattern],
-    bound: &HashSet<String>,
+    bound_on_entry: &dyn Fn(&str) -> bool,
 ) -> RunPlan {
     let n = run.len();
-    let mut sim_bound: HashSet<String> = bound.clone();
+    let mut bound: HashSet<&str> = HashSet::new();
+    let mut opening: Vec<Option<f64>> = vec![None; n];
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     let mut estimates = Vec::with_capacity(n);
     let mut rows = 1.0f64;
     let mut cost = 0.0f64;
     while !remaining.is_empty() {
+        let is_bound = |v: &str| bound_on_entry(v) || bound.contains(v);
         let mut best_pos = 0;
         let mut best_est = f64::INFINITY;
         for (pos, &idx) in remaining.iter().enumerate() {
-            let est = estimator.estimate(run[idx], &|v: &str| sim_bound.contains(v));
+            let est = if run[idx].vars().any(is_bound) {
+                estimator.estimate(run[idx], &is_bound)
+            } else {
+                *opening[idx].get_or_insert_with(|| estimator.exact_count(run[idx]) as f64)
+            };
             if est < best_est {
                 best_est = est;
                 best_pos = pos;
@@ -600,9 +533,7 @@ fn greedy_order(
         cost += rows;
         order.push(idx);
         estimates.push(best_est);
-        for v in run[idx].vars() {
-            sim_bound.insert(v.to_string());
-        }
+        bound.extend(run[idx].vars());
     }
     RunPlan {
         order,

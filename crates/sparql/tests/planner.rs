@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lodify_rdf::{Term, Triple};
-use lodify_sparql::{evaluate_planned, plan_query, EvalOptions, PlanCache, PlanLookup};
+use lodify_sparql::{evaluate_planned, plan_query, EvalOptions, Plan, PlanCache, PlanLookup};
 use lodify_store::Store;
 
 const QUERY: &str = "SELECT ?s WHERE { \
@@ -98,7 +98,7 @@ fn skewed_inserts_flip_join_order_and_invalidate_the_cached_plan() {
     assert_eq!(cache.stats().invalidations, 1);
 }
 
-/// The planned evaluator and the default greedy evaluator agree on the
+/// The greedy planned order and the syntactic order agree on the
 /// answer whichever side of the skew the statistics are on.
 #[test]
 fn planned_and_greedy_agree_before_and_after_skew() {
@@ -119,10 +119,13 @@ fn planned_and_greedy_agree_before_and_after_skew() {
     }
     let parsed = lodify_sparql::parse(QUERY).unwrap();
     for round in 0..2 {
-        let greedy = lodify_sparql::execute(&store, QUERY).unwrap().to_table();
-        let plan = plan_query(&store, &parsed, None);
-        let (rows, _) = evaluate_planned(&store, &parsed, EvalOptions::default(), &plan).unwrap();
-        assert_eq!(rows.to_table(), greedy, "round {round}");
+        let run = |plan: &Plan| {
+            let (rows, _) =
+                evaluate_planned(&store, &parsed, EvalOptions::default(), plan).unwrap();
+            rows.to_table()
+        };
+        let greedy = run(&plan_query(&store, &parsed, None));
+        assert_eq!(greedy, run(&Plan::syntactic(&parsed)), "round {round}");
         for i in 0..2_000 {
             insert(
                 &mut store,
@@ -132,4 +135,51 @@ fn planned_and_greedy_agree_before_and_after_skew() {
             );
         }
     }
+}
+
+/// An OPTIONAL entered with a variable the planner modelled as unbound
+/// produces a run key the plan does not cover. The evaluator then asks
+/// the plan itself to order the run: the syntactic plan keeps the
+/// author's order there too, the greedy plan opens on the smaller
+/// side, and both give the same rows.
+#[test]
+fn runs_the_plan_misses_are_ordered_by_the_plan_itself() {
+    let mut store = Store::new();
+    insert(&mut store, "http://ex/s", "http://ex/p", "http://ex/o");
+    insert(&mut store, "http://ex/s", "http://ex/q", "http://ex/x");
+    for i in 0..40 {
+        insert(
+            &mut store,
+            "http://ex/x",
+            "http://ex/big",
+            &format!("http://ex/b{i}"),
+        );
+    }
+    insert(&mut store, "http://ex/x", "http://ex/small", "http://ex/c");
+    let query = "SELECT * WHERE { \
+        ?s <http://ex/p> ?o . \
+        OPTIONAL { ?s <http://ex/q> ?x } \
+        OPTIONAL { ?x <http://ex/big> ?b . ?x <http://ex/small> ?c . } \
+    } ORDER BY ?b";
+    let parsed = lodify_sparql::parse(query).unwrap();
+    let run =
+        |plan: &Plan| evaluate_planned(&store, &parsed, EvalOptions::default(), plan).unwrap();
+    let (naive_rows, naive) = run(&Plan::syntactic(&parsed));
+    let (planned_rows, planned) = run(&plan_query(&store, &parsed, None));
+    assert_eq!(naive_rows.to_table(), planned_rows.to_table());
+    assert_eq!(planned_rows.len(), 40);
+    // Two of the three runs come from the plan's table; the last OPTIONAL
+    // (entered with ?x bound) is ordered on the spot.
+    assert_eq!(planned.planned_runs, 2);
+    let first_of = |report: &lodify_sparql::EvalReport| {
+        report
+            .profile
+            .operators()
+            .iter()
+            .find(|o| o.label.contains("big") || o.label.contains("small"))
+            .map(|o| o.label.clone())
+            .unwrap()
+    };
+    assert!(first_of(&naive).contains("big"), "syntactic order kept");
+    assert!(first_of(&planned).contains("small"), "greedy opens small");
 }

@@ -2,8 +2,16 @@
 //! queries (§2.3 virtual albums Q1–Q3, §4.1 mashup).
 
 use lodify_rdf::{ns, Literal, Point, Term, Triple};
-use lodify_sparql::execute;
+use lodify_sparql::{evaluate_planned, execute, plan_query, EvalOptions, EvalReport, QueryResults};
 use lodify_store::Store;
+
+/// `execute` with explicit evaluator options, also returning the
+/// evaluation report: parse, plan, evaluate.
+fn run_with_report(store: &Store, query: &str, options: EvalOptions) -> (QueryResults, EvalReport) {
+    let parsed = lodify_sparql::parse(query).unwrap();
+    let plan = plan_query(store, &parsed, None);
+    evaluate_planned(store, &parsed, options, &plan).unwrap()
+}
 
 /// Mole Antonelliana coordinates.
 fn mole() -> Point {
@@ -635,11 +643,12 @@ fn ask_queries_reduce_to_booleans() {
 #[test]
 fn explain_shows_greedy_join_order() {
     let store = paper_store();
-    let plan = lodify_sparql::explain(&store, Q1).unwrap();
+    let plan = plan_query(&store, &lodify_sparql::parse(Q1).unwrap(), None);
+    let plan = plan.render();
     // The selective label scan must be planned before the unselective
     // type scan.
-    let label_pos = plan.find("rdfs:label").expect("label scan in plan");
-    let type_pos = plan.find("sioct:MicroblogPost").expect("type scan in plan");
+    let label_pos = plan.find("rdf-schema#label").expect("label scan in plan");
+    let type_pos = plan.find("MicroblogPost").expect("type scan in plan");
     assert!(label_pos < type_pos, "{plan}");
     assert!(plan.contains("est."));
     assert!(plan.contains("apply 1 filter(s)"));
@@ -652,7 +661,6 @@ fn explain_shows_greedy_join_order() {
 
 #[test]
 fn parallel_evaluation_is_byte_identical_on_paper_queries() {
-    use lodify_sparql::{execute_with_report, EvalOptions};
     let store = paper_store();
     for query in [Q1, Q2, Q3] {
         let sequential = execute(&store, query).unwrap();
@@ -664,9 +672,8 @@ fn parallel_evaluation_is_byte_identical_on_paper_queries() {
                     // of what the statistics estimate.
                     parallel_threshold: 0,
                     spawn_threads,
-                    ..EvalOptions::default()
                 };
-                let (parallel, report) = execute_with_report(&store, query, options).unwrap();
+                let (parallel, report) = run_with_report(&store, query, options);
                 assert_eq!(sequential.vars, parallel.vars);
                 assert_eq!(
                     sequential.rows, parallel.rows,
@@ -684,7 +691,6 @@ fn parallel_evaluation_is_byte_identical_on_paper_queries() {
 
 #[test]
 fn parallel_report_stays_quiet_below_the_stats_threshold() {
-    use lodify_sparql::{execute_with_report, EvalOptions};
     let store = paper_store();
     // The fixture's statistics never reach a huge threshold, so the
     // split picker must keep the whole run sequential.
@@ -693,7 +699,7 @@ fn parallel_report_stays_quiet_below_the_stats_threshold() {
         parallel_threshold: 1_000_000,
         ..EvalOptions::default()
     };
-    let (results, report) = execute_with_report(&store, Q1, options).unwrap();
+    let (results, report) = run_with_report(&store, Q1, options);
     assert_eq!(results.rows, execute(&store, Q1).unwrap().rows);
     assert_eq!(report.parallel_sections, 0);
     assert_eq!(report.modeled_speedup(), 1.0);
@@ -707,10 +713,10 @@ fn parallel_report_stays_quiet_below_the_stats_threshold() {
 
 #[test]
 fn eval_profile_covers_every_paper_query_operator() {
-    use lodify_sparql::{execute_with_report, CardinalityProfile, EvalOptions, OperatorKind};
+    use lodify_sparql::{CardinalityProfile, OperatorKind};
     let store = paper_store();
     for (name, query) in [("Q1", Q1), ("Q2", Q2), ("Q3", Q3)] {
-        let (_, report) = execute_with_report(&store, query, EvalOptions::default()).unwrap();
+        let (_, report) = run_with_report(&store, query, EvalOptions::default());
         let ops = report.profile.operators();
         assert!(
             ops.iter().any(|o| o.kind == OperatorKind::Scan),
@@ -746,7 +752,7 @@ fn eval_profile_covers_every_paper_query_operator() {
         assert!(registry.stats(ns::iri::rdfs_label().as_str()).is_some());
     }
     // Q3's ORDER BY shows up as a sort operator.
-    let (_, report) = execute_with_report(&store, Q3, EvalOptions::default()).unwrap();
+    let (_, report) = run_with_report(&store, Q3, EvalOptions::default());
     assert!(report
         .profile
         .operators()

@@ -1,8 +1,9 @@
 //! Cardinality statistics used for BGP join ordering.
 //!
-//! The SPARQL evaluator orders basic-graph-pattern triples greedily by
+//! The SPARQL planner orders basic-graph-pattern triples greedily by
 //! estimated selectivity; these counters provide the estimates without
-//! scanning.
+//! scanning, and the exact per-predicate count of a lone-predicate
+//! pattern.
 
 use std::collections::HashMap;
 

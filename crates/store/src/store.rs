@@ -503,8 +503,26 @@ impl Store {
     }
 
     /// Count of statements matching a pattern without materializing.
+    /// A bound subject reads one shard; a lone predicate or nothing
+    /// bound reads the exact counters; otherwise the per-shard index
+    /// ranges are counted and summed — a count needs no global order,
+    /// so the k-way merge [`Store::match_ids`] pays is skipped.
     pub fn count_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.match_ids(s, p, o).count()
+        const MIN: TermId = TermId::MIN;
+        const MAX: TermId = TermId::MAX;
+        let per_shard =
+            |count: &dyn Fn(&Shard) -> usize| self.shards.iter().map(|sh| count(sh)).sum();
+        match (s, p, o) {
+            (Some(_), _, _) => self.match_ids(s, p, o).count(),
+            (None, Some(p), Some(o)) => {
+                per_shard(&|sh| sh.pos.range((p, o, MIN)..=(p, o, MAX)).count())
+            }
+            (None, Some(p), None) => self.stats.predicate_count(p),
+            (None, None, Some(o)) => {
+                per_shard(&|sh| sh.osp.range((o, MIN, MIN)..=(o, MAX, MAX)).count())
+            }
+            (None, None, None) => self.len(),
+        }
     }
 
     /// Iterates every statement as a resolved [`Triple`], in SPO order.

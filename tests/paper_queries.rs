@@ -265,7 +265,7 @@ fn crash_recovery_preserves_every_paper_query_answer() {
 /// sequential engine, in both threaded and inline-partition modes.
 #[test]
 fn parallel_evaluation_matches_sequential_on_the_paper_fixture() {
-    use lodify::sparql::{execute_with_report, EvalOptions};
+    use lodify::sparql::{evaluate_planned, parse, plan_query, EvalOptions};
 
     let (p, _) = platform_with_fixture();
     let user_name = oscar(&p);
@@ -276,15 +276,17 @@ fn parallel_evaluation_matches_sequential_on_the_paper_fixture() {
     ];
     for query in &queries {
         let sequential = p.query(query).unwrap().to_table();
+        let parsed = parse(query).unwrap();
+        let plan = plan_query(p.store(), &parsed, None);
         for spawn_threads in [true, false] {
             for workers in [2, 4] {
                 let options = EvalOptions {
                     workers,
                     parallel_threshold: 0,
                     spawn_threads,
-                    ..EvalOptions::default()
                 };
-                let (results, report) = execute_with_report(p.store(), query, options).unwrap();
+                let (results, report) =
+                    evaluate_planned(p.store(), &parsed, options, &plan).unwrap();
                 assert_eq!(
                     results.to_table(),
                     sequential,
@@ -373,4 +375,39 @@ fn album_cache_invalidates_correctly_after_crash_recovery() {
         "post-recovery upload must appear in the refreshed album"
     );
     assert_eq!(revived.album_cache_stats().invalidations, 1);
+}
+
+/// Regression for the planner's join order at benchmark scale: on the
+/// Q1 album over 3,000 pictures the planned evaluation must apply the
+/// `bif:st_intersects` filter as soon as the picture geometry is
+/// bound, before joining `comm:image-data` — otherwise the image join
+/// runs over every picture instead of the few near the monument.
+#[test]
+fn planned_q1_filters_on_geometry_before_joining_image_data() {
+    use lodify::core::albums::AlbumSpec;
+    use lodify::sparql::{evaluate_planned, parse, plan_query, EvalOptions, OperatorKind};
+
+    let p = Platform::bootstrap(WorkloadConfig {
+        pictures: 3000,
+        ..WorkloadConfig::default()
+    })
+    .expect("bootstrap");
+    let query = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3).to_sparql();
+    let parsed = parse(&query).unwrap();
+    let plan = plan_query(p.store(), &parsed, None);
+    let (_, report) = evaluate_planned(p.store(), &parsed, EvalOptions::default(), &plan).unwrap();
+    let ops = report.profile.operators();
+    let breakdown = report.profile.render_lines().join("\n");
+    let filter = ops
+        .iter()
+        .position(|o| o.kind == OperatorKind::Filter && o.label.contains("?location"))
+        .unwrap_or_else(|| panic!("no geometry filter:\n{breakdown}"));
+    let image = ops
+        .iter()
+        .position(|o| o.label.contains("image-data"))
+        .unwrap_or_else(|| panic!("no image-data join:\n{breakdown}"));
+    assert!(
+        filter < image,
+        "filter must precede the image-data join:\n{breakdown}"
+    );
 }

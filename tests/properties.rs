@@ -223,7 +223,7 @@ fn store_insert_remove_is_identity() {
 #[test]
 fn store_pattern_counts_are_consistent() {
     let mut rng = rng("store-counts");
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let n = rng.random_range(1..15usize);
         let entries: Vec<(String, String)> = (0..n)
             .map(|_| (any_iri(&mut rng), any_iri(&mut rng)))
@@ -244,6 +244,43 @@ fn store_pattern_counts_are_consistent() {
             })
             .sum();
         assert_eq!(total, store.len());
+
+        // Every pattern shape counts exactly what it matches, at every
+        // shard count. Small term pools make patterns hit several
+        // shards; positions drawn from two different statements also
+        // produce combinations that match nothing.
+        let shards = [1usize, 4, 16][case % 3];
+        let mut store = Store::with_shards(shards);
+        let g = store.default_graph();
+        let mut keys = Vec::new();
+        for _ in 0..rng.random_range(1..40usize) {
+            let t = Triple::spo(
+                &format!("http://s/{}", rng.random_range(0..6u32)),
+                &format!("http://p/{}", rng.random_range(0..3u32)),
+                Term::literal(format!("o{}", rng.random_range(0..4u32))),
+            );
+            store.insert(&t, g);
+            let id = |term: &Term| store.id_of(term).unwrap();
+            keys.push((
+                id(&t.subject),
+                id(&Term::Iri(t.predicate.clone())),
+                id(&t.object),
+            ));
+        }
+        for _ in 0..8 {
+            let (s, _, o) = keys[rng.random_range(0..keys.len())];
+            let (_, p, _) = keys[rng.random_range(0..keys.len())];
+            for shape in 0..8u8 {
+                let s = (shape & 4 != 0).then_some(s);
+                let p = (shape & 2 != 0).then_some(p);
+                let o = (shape & 1 != 0).then_some(o);
+                assert_eq!(
+                    store.count_pattern(s, p, o),
+                    store.match_ids(s, p, o).count(),
+                    "case {case}, {shards} shards, pattern {s:?} {p:?} {o:?}"
+                );
+            }
+        }
     }
 }
 
@@ -333,7 +370,7 @@ fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
     // Determinism law for the fork/join evaluator: for arbitrary data
     // and worker counts, partitioned evaluation merged in chunk order
     // must reproduce the sequential engine's output exactly.
-    use lodify::sparql::{execute, execute_with, EvalOptions};
+    use lodify::sparql::{evaluate_planned, execute, parse, plan_query, EvalOptions};
     let mut rng = rng("sparql-parallel");
     for case in 0..60 {
         let n = rng.random_range(4..40usize);
@@ -356,9 +393,11 @@ fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
                 workers,
                 parallel_threshold: 0,
                 spawn_threads: case % 2 == 0,
-                ..EvalOptions::default()
             };
-            let parallel = execute_with(&store, query, options).unwrap().to_table();
+            let parsed = parse(query).unwrap();
+            let plan = plan_query(&store, &parsed, None);
+            let (parallel, _) = evaluate_planned(&store, &parsed, options, &plan).unwrap();
+            let parallel = parallel.to_table();
             assert_eq!(parallel, sequential, "case {case}, workers {workers}");
         }
     }
@@ -366,16 +405,17 @@ fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
 
 #[test]
 fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
-    // Correctness law for the cost-based planner (ROADMAP item 5): a
-    // plan only ever reorders joins, so planned, greedy-heuristic and
-    // unreordered evaluation must produce byte-identical tables — on
+    // Correctness law for the planner: a plan only ever reorders
+    // joins, so the syntactic (naive) order, the planned order and the
+    // order planned with a calibration profile must produce
+    // byte-identical tables — on
     // the paper's Q1–Q3 album queries and on a seeded random BGP
     // corpus, at every shard count. Every query carries an ORDER BY
     // over all projected variables, so row order is a pure function of
     // the solution set, never of join enumeration order.
     use lodify::core::albums::AlbumSpec;
     use lodify::rdf::ns;
-    use lodify::sparql::{evaluate_planned, execute_with, plan_query, EvalOptions};
+    use lodify::sparql::{evaluate_planned, plan_query, CardinalityProfile, EvalOptions, Plan};
 
     let gaz = lodify::context::Gazetteer::global();
     let mole = gaz.poi("Mole_Antonelliana").unwrap().point(gaz);
@@ -467,26 +507,27 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
     };
 
     let check = |store: &Store, query: &str, label: &str| {
-        let unplanned = execute_with(
-            store,
-            query,
-            EvalOptions {
-                reorder_bgp: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap()
-        .to_table();
-        let heuristic = execute_with(store, query, EvalOptions::default())
-            .unwrap()
-            .to_table();
         let parsed = lodify::sparql::parse(query).unwrap();
-        let plan = plan_query(store, &parsed, None);
-        let (results, report) =
-            evaluate_planned(store, &parsed, EvalOptions::default(), &plan).unwrap();
-        let planned = results.to_table();
-        assert_eq!(heuristic, unplanned, "{label}: heuristic vs unplanned");
-        assert_eq!(planned, heuristic, "{label}: planned vs heuristic");
+        let run =
+            |plan: &Plan| evaluate_planned(store, &parsed, EvalOptions::default(), plan).unwrap();
+        let (naive, _) = run(&Plan::syntactic(&parsed));
+        let (planned, report) = run(&plan_query(store, &parsed, None));
+        // Two observations of every operator: enough for the
+        // estimator to trust the misestimate ratios.
+        let calibration = CardinalityProfile::new();
+        calibration.absorb(&report.profile);
+        calibration.absorb(&report.profile);
+        let (calibrated, _) = run(&plan_query(store, &parsed, Some(&calibration)));
+        assert_eq!(
+            planned.to_table(),
+            naive.to_table(),
+            "{label}: planned vs syntactic"
+        );
+        assert_eq!(
+            calibrated.to_table(),
+            planned.to_table(),
+            "{label}: calibrated vs planned"
+        );
         report.planned_runs
     };
 
